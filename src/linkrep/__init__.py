@@ -53,12 +53,10 @@ from .rotation import (
     FiniteRotationGroup,
     RotationElement,
     axis_of_involution,
-    compose,
     conjugate,
     from_axis_pi,
     generate_group,
     icosahedral_group,
-    invert,
     is_involution,
     octahedral_group,
     perm_to_rotation,
@@ -71,8 +69,6 @@ from .search import (
     canonical_class,
     count_classes,
     enumerate_valid_decorations,
-    ref1_decoration,
-    ref1_diagram,
     verify_onepoint_geometry,
 )
 from .sldfile import SldDocument, SldParseError, parse, serialize

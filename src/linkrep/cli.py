@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from . import __version__
 from .conditions import (
     ConditionReport,
     Decoration,
@@ -24,7 +25,7 @@ from .conditions import (
     run_all_checks,
 )
 from .diagram import DiagramError, SingularLinkDiagram, betti, components, validate
-from .field import format_scalar
+from .field import ExactScalar, format_scalar
 from .obstructions import (
     ObstructionReport,
     bundle_profile,
@@ -46,10 +47,6 @@ from .sldfile import SldDocument, SldParseError, parse, serialize
 def _fail(message: str, code: int) -> int:
     print(json.dumps({"error": message}), file=sys.stderr)
     return code
-
-
-def _frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _element_json(g: RotationElement) -> Dict:
@@ -141,8 +138,26 @@ def cmd_check(args) -> int:
 
 
 def _options_digest(doc: SldDocument, opts_desc: Dict) -> str:
-    payload = serialize(doc) + json.dumps(opts_desc, sort_keys=True)
+    """Cache key: the canonical document, the options and the package version."""
+    payload = serialize(doc) + json.dumps(opts_desc, sort_keys=True) + __version__
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _read_cached(path: Path) -> Optional[Dict]:
+    """A cached report, or None when the entry is missing or corrupt."""
+    try:
+        cached = json.loads(path.read_text(encoding="utf-8"))
+        raw = cached["search"]["raw_solutions"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return cached if isinstance(raw, int) else None
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write to a temporary file beside `path`, then rename it into place."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def cmd_search(args) -> int:
@@ -160,14 +175,10 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     opts = SearchOptions(
-        group=group,
-        involutions_only_on_hopfs=not args.any_hopf_elements,
-        exhaustive_sw_paths=args.all_sw_paths,
-        dedup=args.dedup,
+        group=group, exhaustive_sw_paths=args.all_sw_paths, dedup=args.dedup
     )
     opts_desc = {
         "group": group_name,
-        "involutions_only_on_hopfs": opts.involutions_only_on_hopfs,
         "exhaustive_sw_paths": opts.exhaustive_sw_paths,
         "dedup": opts.dedup,
     }
@@ -177,8 +188,8 @@ def cmd_search(args) -> int:
         cache_dir = Path(args.cache)
         cache_dir.mkdir(parents=True, exist_ok=True)
         cache_file = cache_dir / f"{_options_digest(doc, opts_desc)}.json"
-        if cache_file.exists():
-            cached = json.loads(cache_file.read_text(encoding="utf-8"))
+        cached = _read_cached(cache_file)
+        if cached is not None:
             print(json.dumps(cached, indent=2))
             return 0 if cached["search"]["raw_solutions"] > 0 else 1
 
@@ -203,7 +214,7 @@ def cmd_search(args) -> int:
         ],
     }
     if cache_file is not None:
-        cache_file.write_text(json.dumps(report), encoding="utf-8")
+        _write_atomically(cache_file, json.dumps(report))
     print(json.dumps(report, indent=2))
     return 0 if solutions else 1
 
@@ -241,7 +252,7 @@ def cmd_bundle(args) -> int:
         "c2": profile.c2,
         "c1sq": profile.c1sq,
         "p1": profile.p1,
-        "energy": _frac(profile.energy),
+        "energy": format_scalar(ExactScalar.of(profile.energy)),
         "compact": profile.compact,
         "flat": profile.flat,
         "irreducible_locked": profile.irreducible_locked,
@@ -301,11 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="so3_canonical",
     )
     p.add_argument("--all-sw-paths", action="store_true")
-    p.add_argument(
-        "--any-hopf-elements",
-        action="store_true",
-        help="lift the pi-rotation restriction on Hopf decorations",
-    )
     p.add_argument("--cache", help="directory for content-hash keyed result reuse")
     p.set_defaults(func=cmd_search)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 #: energies at which the moduli space is compact regardless of the metric
@@ -40,29 +41,23 @@ class BundleProfile:
 def _splitting_exists(b2: int, c2: int) -> bool:
     """Is c2 = sum of b2 terms of the form l(l-1), l integer?
 
-    Terms are 0, 2, 6, 12, 20, ...; zeros are free, so this is a coin problem
-    with at most b2 nonzero coins.
+    The terms are 2 T(l-1) for triangular T, so: for b2 >= 3, iff c2 is even
+    (Gauss: every n is a sum of three triangular numbers); for b2 = 2, iff
+    2 c2 + 1 = ((2l-1)^2 + (2m-1)^2) / 2 is a sum of two squares;
+    for b2 = 1, iff 4 c2 + 1 = (2l-1)^2 is a perfect square.
     """
     if c2 < 0:
         return False
-    if c2 == 0:
-        return True
-    coins = []
-    l = 2
-    while l * (l - 1) <= c2:
-        coins.append(l * (l - 1))
-        l += 1
-    if not coins:
-        return False
-    # sentinel for unreachable sums: must stay above b2 through +1 chains
-    big = b2 + c2 + 2
-    min_coins = [0] + [big] * c2
-    for s in range(1, c2 + 1):
-        best = min(
-            (min_coins[s - coin] for coin in coins if coin <= s), default=big - 1
-        )
-        min_coins[s] = best + 1
-    return min_coins[c2] <= b2
+    if b2 >= 3:
+        return c2 % 2 == 0
+    if b2 == 2:
+        n = 2 * c2 + 1
+        return any(_is_square(n - a * a) for a in range(isqrt(n) + 1))
+    return _is_square(4 * c2 + 1)
+
+
+def _is_square(n: int) -> bool:
+    return isqrt(n) ** 2 == n
 
 
 def bundle_profile(b1: int, b2: int, c2: int) -> BundleProfile:

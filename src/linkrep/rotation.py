@@ -1,8 +1,9 @@
 """Finite subgroups of SO(3) as exact matrices.
 
-Provides the rotation element type, composition / inversion / conjugation,
-involution and axis extraction, the dictionary between S4 (permuting the four
-cube diagonals) and the 24 cube rotations, and closure of generator sets.
+Provides the rotation element type, conjugation, involution and axis
+extraction, the dictionary between S4 (permuting the four cube diagonals) and
+the 24 cube rotations, and finite groups closed from generators, each with a
+Cayley table built on first use.
 
 Composition convention, used everywhere in the package: (g * h) applies h
 first, then g.  Permutation composition follows the same convention.
@@ -11,10 +12,10 @@ first, then g.  Permutation composition follows the same convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import permutations
+from typing import Optional, Sequence
 
 from .field import AxisLine, ExactScalar, Matrix3, Vector3, outer
 
@@ -65,27 +66,15 @@ class RotationElement:
         return tuple((e.a, e.b) for row in self.m.rows for e in row)
 
 
-def compose(g: RotationElement, h: RotationElement) -> RotationElement:
-    return g * h
-
-
-def invert(g: RotationElement) -> RotationElement:
-    return g.inverse()
-
-
 def conjugate(g: RotationElement, h: RotationElement) -> RotationElement:
     """g * h * g^-1."""
     return g * h * g.inverse()
 
 
 def is_involution(g: RotationElement) -> bool:
-    """True iff g is a rotation by pi (g != I and g*g = I, equivalently trace -1)."""
-    identity = Matrix3.identity()
-    by_square = g.m != identity and g.m * g.m == identity
-    by_trace = g.trace() == ExactScalar.of(-1)
-    if by_square != by_trace:
-        raise RuntimeError("involution criteria disagree on a rotation matrix")
-    return by_square
+    """True iff g is a rotation by pi: trace 1 + 2 cos(theta) = -1.
+    (Equivalent to g != I and g*g = I; tests pin the equivalence.)"""
+    return g.trace() == ExactScalar.of(-1)
 
 
 def axis_of_involution(g: RotationElement) -> AxisLine:
@@ -96,10 +85,7 @@ def axis_of_involution(g: RotationElement) -> AxisLine:
     for j in range(3):
         col = shifted.column(j)
         if not col.is_zero():
-            axis = AxisLine(col)
-            if g.apply(axis.direction) != axis.direction:
-                raise RuntimeError("extracted axis is not fixed by the rotation")
-            return axis
+            return AxisLine(col)
     raise RuntimeError("pi-rotation with no fixed direction")
 
 
@@ -210,49 +196,28 @@ DIAGONALS = (
 )
 
 
-def _signed_permutation_rotations() -> list:
-    """The 24 rotations of the cube: signed permutation matrices of determinant 1."""
-    out = []
-    for perm in permutations(range(3)):
-        for signs in product((1, -1), repeat=3):
-            rows = [[0, 0, 0] for _ in range(3)]
-            for i in range(3):
-                rows[i][perm[i]] = signs[i]
-            m = Matrix3.of(rows)
-            if m.det() == ExactScalar.of(1):
-                out.append(RotationElement(m))
-    out.sort(key=lambda g: g.sort_key())
-    return out
+_DIAGONAL_LINES = [AxisLine(d) for d in DIAGONALS]
 
 
-def _diagonal_action(g: RotationElement) -> Optional[CubePermutation]:
-    """The permutation of the four diagonal lines induced by g, if g permutes them."""
-    lines = [AxisLine(d) for d in DIAGONALS]
-    images = []
-    for d in DIAGONALS:
-        target = AxisLine(g.apply(d))
-        try:
-            images.append(lines.index(target) + 1)
-        except ValueError:
-            return None
-    if sorted(images) != [1, 2, 3, 4]:
-        return None
-    return CubePermutation(tuple(images))
+def _diagonal_action(g: RotationElement) -> CubePermutation:
+    """The permutation of the four diagonal lines induced by a cube rotation g
+    (ValueError if g moves a diagonal off the diagonals)."""
+    return CubePermutation(
+        tuple(_DIAGONAL_LINES.index(AxisLine(g.apply(d))) + 1 for d in DIAGONALS)
+    )
+
+
+@lru_cache(maxsize=1)
+def _cube_perms() -> tuple:
+    """The diagonal permutation of each octahedral element, by table index."""
+    return tuple(map(_diagonal_action, octahedral_group().elements))
 
 
 @lru_cache(maxsize=1)
 def _cube_dictionary() -> dict:
-    table = {}
-    for g in _signed_permutation_rotations():
-        p = _diagonal_action(g)
-        if p is None:
-            raise RuntimeError("cube rotation failed to permute the diagonals")
-        if p.images in table:
-            raise RuntimeError("diagonal action is not injective on cube rotations")
-        table[p.images] = g
-    if len(table) != 24:
-        raise RuntimeError("expected a full S4 of diagonal actions")
-    return table
+    """S4 images -> cube rotation; tests pin that this is a bijection and a
+    homomorphism."""
+    return {p.images: g for p, g in zip(_cube_perms(), octahedral_group())}
 
 
 def perm_to_rotation(p: CubePermutation) -> RotationElement:
@@ -261,11 +226,10 @@ def perm_to_rotation(p: CubePermutation) -> RotationElement:
 
 
 def rotation_to_perm(g: RotationElement) -> Optional[CubePermutation]:
-    """Inverse dictionary lookup; None if g is not a cube rotation."""
-    for images, rot in _cube_dictionary().items():
-        if rot == g:
-            return CubePermutation(images)
-    return None
+    """Inverse dictionary lookup through the octahedral table; None if g is
+    not a cube rotation."""
+    i = octahedral_group().table.index.get(g.sort_key())
+    return None if i is None else _cube_perms()[i]
 
 
 def rot(cycles: str) -> RotationElement:
@@ -281,11 +245,72 @@ GROUP_SIZE_LIMIT = 200
 
 
 @dataclass(frozen=True)
+class GroupTable:
+    """Cayley table of a finite rotation group.  Indices follow sort_key
+    order, so comparing index tuples compares element tuples."""
+
+    elements: tuple
+    index: dict  # sort_key -> index
+    mul: tuple  # mul[i][j] = index of elements[i] * elements[j]
+    inv: tuple
+    identity: int
+    involutions: tuple  # indices of the pi-rotations, ascending
+
+
+def _close(gens: Sequence[RotationElement]) -> GroupTable:
+    """Close a generator set under right multiplication by the generators.
+
+    That costs |G| * len(gens) products.  Each new element is reached as
+    parent * gens[k]; the rest of the table follows by index from these
+    words, since x * (parent * g_k) = (x * parent) * g_k.
+    """
+    found = [RotationElement.identity()]
+    where = {found[0].sort_key(): 0}
+    word = [None]  # (parent, k) per element; the identity has none
+    right = []  # right[i][k] = index of found[i] * gens[k]
+    for i, x in enumerate(found):  # found grows while it is walked
+        right.append([])
+        for k, g in enumerate(gens):
+            y = x * g
+            j = where.setdefault(y.sort_key(), len(found))
+            if j == len(found):
+                if j >= GROUP_SIZE_LIMIT:
+                    raise ValueError("not a finite subgroup preset size")
+                found.append(y)
+                word.append((i, k))
+            right[i].append(j)
+    n = len(found)
+    order = sorted(range(n), key=lambda j: found[j].sort_key())
+    rank = {j: r for r, j in enumerate(order)}
+    mul = [None] * n
+    for x in range(n):
+        row = [x] * n  # found[x] * found[j], parents before children
+        for j in range(1, n):
+            parent, k = word[j]
+            row[j] = right[row[parent]][k]
+        mul[rank[x]] = tuple(rank[row[j]] for j in order)
+    e = rank[0]
+    return GroupTable(
+        elements=tuple(found[j] for j in order),
+        index={found[j].sort_key(): r for r, j in enumerate(order)},
+        mul=tuple(mul),
+        inv=tuple(row.index(e) for row in mul),
+        identity=e,
+        involutions=tuple(i for i, row in enumerate(mul) if row[i] == e != i),
+    )
+
+
+@dataclass(frozen=True)
 class FiniteRotationGroup:
-    """A finite subgroup of SO(3), closed under product and inverse."""
+    """A finite subgroup of SO(3), closed under product and inverse.
+
+    Its Cayley table is closed from `generators` (all elements when none are
+    given) on first use and cached on the group.
+    """
 
     elements: tuple
     name: str = "custom"
+    generators: tuple = field(default=(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -294,41 +319,38 @@ class FiniteRotationGroup:
         return iter(self.elements)
 
     def __contains__(self, g: RotationElement) -> bool:
-        return g.sort_key() in self._key_set()
+        return g.sort_key() in self.table.index
 
-    def _key_set(self):
-        return {e.sort_key() for e in self.elements}
+    @cached_property
+    def table(self) -> GroupTable:
+        table = _close(self.generators or self.elements)
+        if sorted(table.index) != sorted(g.sort_key() for g in self.elements):
+            raise ValueError("group elements are not the closure of the generators")
+        return table
 
     def involutions(self) -> tuple:
-        return tuple(g for g in self.elements if is_involution(g))
+        return tuple(self.table.elements[i] for i in self.table.involutions)
 
 
-def generate_group(gens: Sequence[RotationElement]) -> FiniteRotationGroup:
-    """Closure of a nonempty generator set; deterministic element ordering."""
+def generate_group(
+    gens: Sequence[RotationElement], name: str = "custom"
+) -> FiniteRotationGroup:
+    """Closure of a nonempty generator set; elements in sort_key order."""
     if not gens:
         raise ValueError("generator list must be nonempty")
-    seen = {RotationElement.identity().sort_key(): RotationElement.identity()}
-    frontier = list(gens)
-    for g in gens:
-        seen.setdefault(g.sort_key(), g)
-    while frontier:
-        g = frontier.pop()
-        for h in list(seen.values()):
-            for prod in (g * h, h * g):
-                key = prod.sort_key()
-                if key not in seen:
-                    if len(seen) >= GROUP_SIZE_LIMIT:
-                        raise ValueError("not a finite subgroup preset size")
-                    seen[key] = prod
-                    frontier.append(prod)
-    elements = tuple(sorted(seen.values(), key=lambda e: e.sort_key()))
-    return FiniteRotationGroup(elements)
+    table = _close(gens)
+    group = FiniteRotationGroup(table.elements, name, tuple(gens))
+    group.__dict__["table"] = table  # the closure already built it
+    return group
 
 
 @lru_cache(maxsize=1)
 def octahedral_group() -> FiniteRotationGroup:
-    """The 24 rotations of the cube, i.e. S4 acting on the diagonals."""
-    return FiniteRotationGroup(tuple(_signed_permutation_rotations()), "octahedral")
+    """The 24 rotations of the cube, i.e. S4 acting on the diagonals,
+    generated by the quarter turns about the z- and x-axes."""
+    z_turn = RotationElement.of([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    x_turn = RotationElement.of([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
+    return generate_group([z_turn, x_turn], "octahedral")
 
 
 @lru_cache(maxsize=1)
@@ -340,7 +362,9 @@ def tetrahedral_group() -> FiniteRotationGroup:
         if CubePermutation(tuple(p)).is_even()
     ]
     elems.sort(key=lambda g: g.sort_key())
-    return FiniteRotationGroup(tuple(elems), "tetrahedral")
+    return FiniteRotationGroup(
+        tuple(elems), "tetrahedral", (rot("(123)"), rot("(12)(34)"))
+    )
 
 
 @lru_cache(maxsize=1)
@@ -357,10 +381,10 @@ def icosahedral_group() -> FiniteRotationGroup:
     z_flip = from_axis_pi(AxisLine.of(0, 0, 1))
     edge_axis = AxisLine(Vector3(one, phi + one, phi))
     edge_flip = from_axis_pi(edge_axis)
-    group = generate_group([cycle, z_flip, edge_flip])
+    group = generate_group([cycle, z_flip, edge_flip], "icosahedral")
     if len(group) != 60:
         raise RuntimeError(f"icosahedral closure has {len(group)} elements")
-    return FiniteRotationGroup(group.elements, "icosahedral")
+    return group
 
 
 def preset_group(name: str) -> FiniteRotationGroup:

@@ -1,6 +1,7 @@
 """Decoration search over a finite rotation group, with conjugacy counting.
 
-Backtracking assigns nodes in an order that maximizes forced conjugation
+Backtracking works on indices into the group's Cayley table (no matrix
+products) and assigns nodes in an order that maximizes forced conjugation
 propagation: an arc whose word mentions only assigned nodes determines one
 endpoint from the other.  Solutions are re-verified by the condition checks
 after the search, so pruning cannot introduce soundness holes.
@@ -13,8 +14,8 @@ products, minimized over independent per-axis sign flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conditions import (
@@ -23,12 +24,10 @@ from .conditions import (
     check_relators,
     check_selfint,
     check_sw,
-    holonomy_word,
 )
-from .diagram import ArcBand, DiagramError, SingularLinkDiagram, ensure_wellformed
+from .diagram import ArcBand, SingularLinkDiagram, ensure_wellformed
 from .field import (
     AxisLine,
-    ExactScalar,
     Matrix3,
     is_angle_pi_over_4,
     is_coplanar,
@@ -38,10 +37,7 @@ from .rotation import (
     FiniteRotationGroup,
     RotationElement,
     axis_of_involution,
-    conjugate,
     is_involution,
-    octahedral_group,
-    rot,
 )
 
 
@@ -52,7 +48,6 @@ class StructuralConditionError(Exception):
 @dataclass(frozen=True)
 class SearchOptions:
     group: FiniteRotationGroup
-    involutions_only_on_hopfs: bool = True
     exhaustive_sw_paths: bool = False
     dedup: str = "so3_canonical"  # none | group_conjugacy | so3_canonical
 
@@ -63,58 +58,8 @@ class SearchOptions:
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
 
 
-# ---------------------------------------------------------------------------
-# the reference fixture: four decorated Hopf pairs and one simple circle
-# ---------------------------------------------------------------------------
-
-def _ref(text: str):
-    from .diagram import CircleRef
-
-    return CircleRef.parse(text)
-
-
-def _arc(aid, start, s_slot, end, e_slot, word):
-    return ArcBand(
-        id=aid,
-        start=_ref(start),
-        start_slot=s_slot,
-        end=_ref(end),
-        end_slot=e_slot,
-        word=tuple((_ref(r), s) for r, s in word),
-    )
-
-
-def ref1_diagram() -> SingularLinkDiagram:
-    """REF-1: a tree of nine circles realizing the one-point configuration."""
-    return SingularLinkDiagram(
-        circles=("Y",),
-        hopfs=("TL", "TR", "BL", "BR"),
-        arcs=(
-            _arc("A1", "TL.a", 0, "TL.b", 0, [("BL.a", 1)]),
-            _arc("A2", "TR.a", 0, "TR.b", 0, [("BR.a", 1)]),
-            _arc("A3", "BL.a", 0, "BL.b", 0, [("TL.a", 1)]),
-            _arc("A4", "BR.a", 0, "BR.b", 0, [("TR.a", 1)]),
-            _arc("A5", "TL.a", 1, "BL.a", 1, [("TR.a", 1), ("BR.a", 1)]),
-            _arc("A6", "TR.a", 1, "BR.a", 1, [("TL.a", 1), ("BL.a", 1)]),
-            _arc("A7", "TL.b", 1, "Y", 0, [("TL.a", 1), ("Y", 1)]),
-            _arc("A8", "BL.b", 1, "TR.a", 2, [("BL.a", 1), ("TR.a", 1)]),
-        ),
-    )
-
-
+#: Hopf nodes of the reference fixture fixtures/ref1.sld, in declaration order
 REF1_HOPF_ORDER = ("TL", "TR", "BL", "BR")
-
-
-def ref1_decoration() -> Decoration:
-    return Decoration.of(
-        {
-            "TL": rot("(12)"),
-            "TR": rot("(14)"),
-            "BL": rot("(34)"),
-            "BR": rot("(23)"),
-            "Y": rot("(24)"),
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,30 +97,17 @@ def enumerate_valid_decorations(
         return []
 
     nodes = _node_order(d)
-    hopf_set = set(d.hopfs)
-    elements = list(opts.group.elements)
-    n_el = len(elements)
-    element_index = {g.sort_key(): i for i, g in enumerate(elements)}
-
-    # index-level group tables: backtracking never touches matrices
-    mult = [
-        [element_index[(gi * gj).sort_key()] for gj in elements] for gi in elements
-    ]
-    inv = [element_index[g.inverse().sort_key()] for g in elements]
-    involution_idx = [i for i, g in enumerate(elements) if is_involution(g)]
-
-    def domain(node: str) -> List[int]:
-        if node in hopf_set and opts.involutions_only_on_hopfs:
-            return involution_idx
-        return list(range(n_el))
-
-    allowed_sets = {
-        node: set(domain(node)) for node in list(d.hopfs) + list(d.circles)
-    }
-    identity_idx = element_index[RotationElement.identity().sort_key()]
+    table = opts.group.table
+    elements, mult, inv = table.elements, table.mul, table.inv
+    identity_idx = table.identity
+    # Hopf nodes carry pi-rotations (check_sw rejects anything else)
+    domains = {node: list(range(len(elements))) for node in d.circles}
+    domains.update({node: list(table.involutions) for node in d.hopfs})
+    allowed_sets = {node: set(dom) for node, dom in domains.items()}
 
     assignment: Dict[str, int] = {}
-    solutions: List[Decoration] = []
+    node_names = sorted(domains)
+    solutions: List[Tuple[tuple, Decoration]] = []
 
     def word_product(a: ArcBand) -> Optional[int]:
         out = identity_idx
@@ -227,10 +159,10 @@ def enumerate_valid_decorations(
             if check_relators(d, dec).passed and check_sw(
                 d, dec, exhaustive_paths=opts.exhaustive_sw_paths
             ).passed:
-                solutions.append(dec)
+                solutions.append((tuple(assignment[n] for n in node_names), dec))
             return
         node = unassigned[0]
-        for g in domain(node):
+        for g in domains[node]:
             assignment[node] = g
             trail = [node]
             if propagate(trail):
@@ -239,11 +171,8 @@ def enumerate_valid_decorations(
                 del assignment[n]
 
     descend()
-    node_names = sorted(list(d.hopfs) + list(d.circles))
-    solutions.sort(
-        key=lambda dec: tuple(element_index[dec[n].sort_key()] for n in node_names)
-    )
-    return solutions
+    solutions.sort(key=lambda pair: pair[0])
+    return [dec for _, dec in solutions]
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +202,45 @@ def canonical_class(elements: Sequence[RotationElement]) -> ConjugacyClassKey:
     cos2 = tuple(
         (gram[i][j] * gram[i][j]) / (gram[i][i] * gram[j][j]) for i, j in pairs
     )
-    dets = {
-        (i, j, k): Matrix3(
-            (axes[i].components(), axes[j].components(), axes[k].components())
-        ).det()
-        for i, j, k in triples
-    }
-    best = None
-    for flips in product((1, -1), repeat=n):
-        signs = tuple(flips[i] * flips[j] * gram[i][j].sign() for i, j in pairs)
-        tsigns = tuple(
-            flips[i] * flips[j] * flips[k] * dets[(i, j, k)].sign()
+    comps = [v.components() for v in axes]
+    signs = _least_flip_pattern(
+        [(1 << i | 1 << j, gram[i][j].sign()) for i, j in pairs]
+        + [
+            (1 << i | 1 << j | 1 << k, Matrix3((comps[i], comps[j], comps[k])).det().sign())
             for i, j, k in triples
-        )
-        candidate = (signs, tsigns)
-        if best is None or candidate < best:
-            best = candidate
-    return ConjugacyClassKey(
-        size=n, cos_squared=cos2, gram_signs=best[0], triple_signs=best[1]
+        ]
     )
+    return ConjugacyClassKey(
+        size=n,
+        cos_squared=cos2,
+        gram_signs=signs[: len(pairs)],
+        triple_signs=signs[len(pairs) :],
+    )
+
+
+def _least_flip_pattern(entries: Sequence[Tuple[int, int]]) -> tuple:
+    """Lexicographically least sign pattern under per-axis sign flips.
+
+    Entry (mask, sign) reads sign * (-1)^(number of flipped axes in mask).
+    The reachable patterns form an affine space over GF(2), so the minimum is
+    greedy: walk the entries in order, keep the parity constraints chosen so
+    far as an echelon basis keyed by leading bit, and make every nonzero
+    entry that those constraints leave free read -1.
+    """
+    basis: Dict[int, Tuple[int, int]] = {}  # leading bit -> (mask, parity)
+    out = []
+    for mask, sign in entries:
+        parity = 0
+        while mask and mask.bit_length() in basis:
+            m, p = basis[mask.bit_length()]
+            mask ^= m
+            parity ^= p
+        if mask and sign:
+            basis[mask.bit_length()] = (mask, parity ^ (sign > 0))
+            out.append(-1)
+        else:
+            out.append(-sign if parity else sign)
+    return tuple(out)
 
 
 def count_classes(
@@ -307,14 +256,22 @@ def count_classes(
             canonical_class([dec[h] for h in hopf_order]) for dec in solutions
         }
         return len(keys)
-    # group_conjugacy: whole decorations up to simultaneous conjugation in the group
+    # group_conjugacy: whole decorations up to simultaneous conjugation in
+    # the group; index order is sort_key order, so orbit minima are exact
+    table = opts.group.table
+    mul, inv = table.mul, table.inv
     reps = set()
     for dec in solutions:
-        orbit_min = min(
-            tuple(v.sort_key() for _, v in dec.conjugated(c).mapping)
-            for c in opts.group
+        try:
+            idx = [table.index[g.sort_key()] for _, g in dec.mapping]
+        except KeyError:
+            raise ValueError("decoration has an element outside the group")
+        reps.add(
+            min(
+                tuple(mul[mul[c][g]][inv[c]] for g in idx)
+                for c in range(len(mul))
+            )
         )
-        reps.add(orbit_min)
     return len(reps)
 
 

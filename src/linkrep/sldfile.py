@@ -184,6 +184,7 @@ def parse(text: str) -> SldDocument:
     statements: List[Statement] = []
     node_ids = set()
     arc_ids = set()
+    decorated: Dict[str, int] = {}  # node -> line of its decoration
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -218,9 +219,16 @@ def parse(text: str) -> SldDocument:
             arc_ids.add(arc.id)
             statements.append(ArcStmt(arc))
         elif keyword == "decorate":
-            statements.append(_parse_decorate(tokens, lineno))
+            stmt = _parse_decorate(tokens, lineno)
+            if stmt.node in decorated:
+                raise SldParseError(lineno, f"node {stmt.node!r} is decorated twice")
+            decorated[stmt.node] = lineno
+            statements.append(stmt)
         else:
             raise SldParseError(lineno, f"unknown keyword {keyword!r}")
+    for node, lineno in decorated.items():
+        if node not in node_ids:
+            raise SldParseError(lineno, f"decoration of undeclared node {node!r}")
     return SldDocument(tuple(statements))
 
 

@@ -1,8 +1,22 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram, validate
+from linkrep.sldfile import parse
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def ref1_diagram() -> SingularLinkDiagram:
+    """REF-1 (fixtures/ref1.sld): a tree of nine circles realizing the
+    one-point configuration."""
+    return parse((FIXTURES / "ref1.sld").read_text()).diagram()
+
+
+def ref1_decoration():
+    return parse((FIXTURES / "ref1.sld").read_text()).decoration()
 
 
 def random_diagram(rng: random.Random) -> SingularLinkDiagram:

@@ -37,13 +37,11 @@ from linkrep.search import (
     SearchOptions,
     count_classes,
     enumerate_valid_decorations,
-    ref1_decoration,
-    ref1_diagram,
     verify_onepoint_geometry,
 )
 from linkrep.sldfile import parse, serialize
 
-from conftest import random_diagram
+from conftest import random_diagram, ref1_decoration, ref1_diagram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import linkrep.cli
 from linkrep.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -87,6 +88,20 @@ class TestCheck:
         code, out, err = run(capsys, "check", REF1, "--all-sw-paths")
         assert code == 0
 
+    def test_second_decoration_exits_two(self, capsys, tmp_path):
+        f = tmp_path / "twice.sld"
+        f.write_text(Path(COMMUTING).read_text() + 'decorate H = perm "(34)"\n')
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2
+        assert "line 9" in err["error"] and "decorated twice" in err["error"]
+
+    def test_undeclared_decoration_exits_two(self, capsys, tmp_path):
+        f = tmp_path / "undeclared.sld"
+        f.write_text(Path(COMMUTING).read_text() + 'decorate ZZ = perm "(34)"\n')
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2
+        assert "line 9" in err["error"] and "undeclared" in err["error"]
+
 
 class TestSearch:
     def test_commuting_fixture(self, capsys):
@@ -127,6 +142,39 @@ class TestSearch:
         cache = tmp_path / "cache"
         run(capsys, "search", COMMUTING, "--cache", str(cache))
         run(capsys, "search", COMMUTING, "--cache", str(cache), "--dedup", "none")
+        assert len(list(cache.glob("*.json"))) == 2
+
+    def test_corrupt_cache_entry_is_a_miss_and_rewritten(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        _, fresh, _ = run(capsys, "search", COMMUTING, "--cache", str(cache))
+        (entry,) = cache.glob("*.json")
+        for junk in ("{not json", '{"search": null}', ""):
+            entry.write_text(junk)
+            code, out, err = run(capsys, "search", COMMUTING, "--cache", str(cache))
+            assert code == 0 and err is None
+            assert out == fresh
+            assert json.loads(entry.read_text()) == fresh
+
+    def test_cache_writes_by_atomic_rename(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        renames = []
+        real_replace = linkrep.cli.os.replace
+
+        def replace(src, dst):
+            renames.append((Path(src).parent, Path(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(linkrep.cli.os, "replace", replace)
+        run(capsys, "search", COMMUTING, "--cache", str(cache))
+        (entry,) = cache.glob("*.json")
+        assert renames == [(cache, entry)]
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+
+    def test_cache_key_includes_the_package_version(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        run(capsys, "search", COMMUTING, "--cache", str(cache))
+        monkeypatch.setattr(linkrep.cli, "__version__", "0.0.0-other")
+        run(capsys, "search", COMMUTING, "--cache", str(cache))
         assert len(list(cache.glob("*.json"))) == 2
 
     def test_solutions_reported_as_perm_or_matrix(self, capsys):

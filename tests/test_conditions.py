@@ -17,9 +17,8 @@ from linkrep.conditions import (
 )
 from linkrep.diagram import ArcBand, CircleRef, DiagramError, SingularLinkDiagram
 from linkrep.rotation import RotationElement, conjugate, octahedral_group, rot
-from linkrep.search import ref1_decoration, ref1_diagram
 
-from conftest import random_diagram
+from conftest import random_diagram, ref1_decoration, ref1_diagram
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -227,6 +226,24 @@ class TestSW:
         dec = Decoration.of({"h": rot("(12)"), "c": rot("(13)")})
         res = check_sw(d, dec)
         assert res.passed  # verdict from the shortest path alone
+        assert any("internal inconsistency" in line for line in res.diagnostics)
+
+    def test_noncommuting_product_flagged_although_relators_pass(self):
+        # a two-arc path h.a -> c -> h.b: the relators make the transport
+        # C(a2) C(a1) commute with g, but the path product is C(a1) C(a2),
+        # so the diagnostic is not just a symptom of a failing relator
+        d = SingularLinkDiagram(
+            circles=("c", "d"),
+            hopfs=("h",),
+            arcs=(
+                arc("a1", "h.a", 0, "c", 0, [("d", 1)]),
+                arc("a2", "c", 1, "h.b", 0, [("d", 1), ("c", 1)]),
+                arc("a3", "d", 0, "d", 1),
+            ),
+        )
+        dec = Decoration.of({"h": rot("(34)"), "c": rot("(23)"), "d": rot("(24)")})
+        assert check_relators(d, dec).passed
+        res = check_sw(d, dec)
         assert any("internal inconsistency" in line for line in res.diagnostics)
 
     def test_disconnected_members_raise(self):

@@ -13,9 +13,8 @@ from linkrep.diagram import (
     triple_arc_crosscheck,
     validate,
 )
-from linkrep.search import ref1_diagram
 
-from conftest import random_diagram
+from conftest import random_diagram, ref1_diagram
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,21 @@ from linkrep.obstructions import (
     bundle_profile,
     connected_sum_obstruction,
     divisibility_obstruction,
+    _splitting_exists,
     pontryagin_square_diag,
 )
+
+
+def min_terms_dp(limit: int) -> list:
+    """Reference: min_terms[s] is the least number of nonzero terms l(l-1)
+    summing to s (a coin problem), for 0 <= s < limit; unreachable sums get
+    `limit`."""
+    coins = [l * (l - 1) for l in range(2, limit) if l * (l - 1) < limit]
+    min_terms = [0] + [limit] * (limit - 1)
+    for s in range(1, limit):
+        best = min((min_terms[s - c] for c in coins if c <= s), default=limit)
+        min_terms[s] = min(best + 1, limit)
+    return min_terms
 
 
 class TestPontryaginSquare:
@@ -151,3 +165,21 @@ class TestBundleProfile:
         assert isinstance(p.energy, Fraction)
         assert p.energy == Fraction(3, 4)
         assert p.compact
+
+
+class TestSplittingClosedForm:
+    def test_matches_the_coin_dp(self):
+        limit = 1500
+        min_terms = min_terms_dp(limit)
+        for b2 in (1, 2, 3, 4, 9):
+            for c2 in range(-3, limit):
+                expected = c2 >= 0 and min_terms[c2] <= b2
+                assert _splitting_exists(b2, c2) == expected, (b2, c2)
+
+    def test_large_c2_is_prompt(self, capsys):
+        from linkrep.cli import main
+
+        start = time.perf_counter()
+        assert main(["bundle", "--b1", "1", "--b2", "4", "--c2", "1000000"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert '"irreducible_locked": false' in capsys.readouterr().out

@@ -2,9 +2,12 @@ from itertools import permutations
 
 import pytest
 
+from fractions import Fraction
+
 from linkrep.field import AxisLine, ExactScalar, Matrix3, Vector3
 from linkrep.rotation import (
     CubePermutation,
+    FiniteRotationGroup,
     RotationElement,
     axis_of_involution,
     conjugate,
@@ -14,11 +17,13 @@ from linkrep.rotation import (
     is_involution,
     octahedral_group,
     perm_to_rotation,
+    preset_group,
     rot,
     rotation_to_perm,
     tetrahedral_group,
 )
 
+PRESETS = ("tetrahedral", "octahedral", "icosahedral")
 ALL_S4 = [CubePermutation(tuple(p)) for p in permutations((1, 2, 3, 4))]
 
 
@@ -94,6 +99,18 @@ class TestInvolutions:
         assert rot("(12)").apply(Vector3.of(0, 1, 1)) == Vector3.of(0, 1, 1)
         assert axis_of_involution(rot("(12)")) == AxisLine.of(0, 1, 1)
         assert axis_of_involution(rot("(34)")) == AxisLine.of(0, 1, -1)
+
+    def test_trace_criterion_matches_square_criterion(self):
+        identity = RotationElement.identity()
+        for name in PRESETS:
+            for g in preset_group(name):
+                assert is_involution(g) == (g * g == identity and g != identity)
+
+    def test_extracted_axis_is_fixed(self):
+        for name in PRESETS:
+            for g in preset_group(name).involutions():
+                axis = axis_of_involution(g).direction
+                assert g.apply(axis) == axis
 
     def test_axis_rejects_non_involutions(self):
         with pytest.raises(ValueError):
@@ -183,3 +200,69 @@ class TestGroups:
             RotationElement.of([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(ValueError):
             RotationElement.of([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])  # det -1
+
+    def test_infinite_order_generator_rejected(self):
+        # rotation by arccos(3/5) about z has infinite order
+        c, s_ = Fraction(3, 5), Fraction(4, 5)
+        g = RotationElement.of([[c, -s_, 0], [s_, c, 0], [0, 0, 1]])
+        with pytest.raises(ValueError):
+            generate_group([g])
+
+    def test_contains(self):
+        assert rot("(123)") in tetrahedral_group()
+        assert rot("(12)") not in tetrahedral_group()
+        assert icosahedral_group().elements[1] in icosahedral_group()
+
+
+class TestGroupTable:
+    def test_tables_match_matrix_products(self):
+        for name in PRESETS:
+            group = preset_group(name)
+            t = group.table
+            assert t.elements == group.elements
+            rows = range(len(t.elements)) if len(group) <= 24 else range(0, 60, 7)
+            for i in rows:
+                a = t.elements[i]
+                assert t.elements[t.inv[i]] == a.inverse()
+                for j, b in enumerate(t.elements):
+                    assert t.elements[t.mul[i][j]] == a * b
+            assert t.elements[t.identity] == RotationElement.identity()
+            assert [t.elements[i] for i in t.involutions] == [
+                g for g in group if is_involution(g)
+            ]
+
+    def test_index_follows_sort_key(self):
+        t = icosahedral_group().table
+        keys = [g.sort_key() for g in t.elements]
+        assert keys == sorted(keys)
+        assert all(t.index[k] == i for i, k in enumerate(keys))
+
+    def test_generated_group_table_does_not_depend_on_generators(self):
+        a = generate_group([rot("(12)"), rot("(1234)")])
+        b = generate_group([rot("(1234)"), rot("(234)"), rot("(12)")])
+        assert a.elements == b.elements == octahedral_group().elements
+        assert a.table.mul == b.table.mul == octahedral_group().table.mul
+
+    def test_cold_icosahedral_build_multiplies_each_element_by_each_generator(
+        self, monkeypatch
+    ):
+        calls = []
+        original = RotationElement.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(RotationElement, "__mul__", counting)
+        icosahedral_group.cache_clear()
+        try:
+            icosahedral_group().table
+        finally:
+            icosahedral_group.cache_clear()
+        # |G| * (number of generators); no |G|^2 products
+        assert len(calls) <= 60 * 3
+
+    def test_elements_that_are_not_the_closure_are_rejected(self):
+        half = FiniteRotationGroup(octahedral_group().elements[:12], "half")
+        with pytest.raises(ValueError, match="closure"):
+            half.table

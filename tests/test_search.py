@@ -1,9 +1,16 @@
-import pytest
+from itertools import combinations, product
 
-from linkrep.conditions import Decoration, check_sw, run_all_checks
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linkrep.search
+from linkrep.conditions import CheckResult, Decoration, check_sw, run_all_checks
 from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram
+from linkrep.field import Matrix3
 from linkrep.rotation import (
     RotationElement,
+    axis_of_involution,
     conjugate,
     icosahedral_group,
     octahedral_group,
@@ -18,10 +25,10 @@ from linkrep.search import (
     canonical_class,
     count_classes,
     enumerate_valid_decorations,
-    ref1_decoration,
-    ref1_diagram,
     verify_onepoint_geometry,
 )
+
+from conftest import ref1_decoration, ref1_diagram
 
 
 def arc(aid, start, s_slot, end, e_slot, word=()):
@@ -106,28 +113,6 @@ class TestEnumerate:
         )
         assert sols == []
 
-    def test_any_hopf_elements_option(self):
-        # lifting the involution restriction cannot lose solutions
-        d = SingularLinkDiagram(
-            circles=("c",),
-            hopfs=("h",),
-            arcs=(
-                arc("a", "h.a", 0, "h.b", 0, [("c", 1)]),
-                arc("b", "h.a", 1, "c", 0),
-            ),
-        )
-        restricted = enumerate_valid_decorations(d, OCT)
-        wide = enumerate_valid_decorations(
-            d, SearchOptions(group=octahedral_group(), involutions_only_on_hopfs=False)
-        )
-        assert set(tuple(s.mapping) for s in restricted) <= set(
-            tuple(s.mapping) for s in wide
-        )
-        # the Stiefel-Whitney check still rejects non-involutions on Hopf nodes
-        assert set(tuple(s.mapping) for s in restricted) == set(
-            tuple(s.mapping) for s in wide
-        )
-
 
 class TestCanonicalClass:
     def test_rotated_pairs_share_a_key(self):
@@ -170,6 +155,48 @@ class TestCanonicalClass:
         assert base.cos_squared == swapped.cos_squared
 
 
+def brute_force_signs(elements):
+    """Reference for canonical_class's sign patterns: the least (gram_signs,
+    triple_signs) over all 2^n per-axis sign flips."""
+    axes = [axis_of_involution(g).direction for g in elements]
+    n = len(axes)
+    pairs = list(combinations(range(n), 2))
+    triples = list(combinations(range(n), 3))
+    gram = [[axes[i].dot(axes[j]).sign() for j in range(n)] for i in range(n)]
+    dets = {
+        t: Matrix3(tuple(axes[x].components() for x in t)).det().sign()
+        for t in triples
+    }
+    return min(
+        (
+            tuple(f[i] * f[j] * gram[i][j] for i, j in pairs),
+            tuple(f[i] * f[j] * f[k] * dets[(i, j, k)] for i, j, k in triples),
+        )
+        for f in product((1, -1), repeat=n)
+    )
+
+
+INVOLUTION_POOLS = {
+    "oct": octahedral_group().involutions(),
+    "ico": icosahedral_group().involutions(),
+    "mixed": octahedral_group().involutions() + icosahedral_group().involutions(),
+}
+
+
+class TestCanonicalClassGreedy:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(INVOLUTION_POOLS)),
+        st.lists(st.integers(0, 10**6), max_size=7),
+    )
+    def test_matches_brute_force(self, pool, picks):
+        # repeats included: picks may hit one axis several times
+        invs = INVOLUTION_POOLS[pool]
+        elements = [invs[p % len(invs)] for p in picks]
+        key = canonical_class(elements)
+        assert (key.gram_signs, key.triple_signs) == brute_force_signs(elements)
+
+
 class TestCountClasses:
     def test_duplicates_collapse(self):
         dec = ref1_decoration()
@@ -196,6 +223,25 @@ class TestCountClasses:
         so3 = count_classes(sols, REF1_HOPF_ORDER, OCT)
         assert gc >= so3
         assert gc == 5  # measured: octahedral conjugation is coarser than SO(3)
+
+    def test_group_conjugacy_rejects_elements_outside_the_group(self):
+        tet = SearchOptions(group=tetrahedral_group(), dedup="group_conjugacy")
+        with pytest.raises(ValueError, match="outside the group"):
+            count_classes([ref1_decoration()], REF1_HOPF_ORDER, tet)
+
+    def test_group_conjugacy_matches_matrix_conjugation(self, ref1_solutions):
+        # reference: orbit minima of whole decorations under matrix conjugation
+        group = octahedral_group()
+        sols = ref1_solutions[::12]
+        reps = {
+            min(
+                tuple(v.sort_key() for _, v in dec.conjugated(c).mapping)
+                for c in group
+            )
+            for dec in sols
+        }
+        opts = SearchOptions(group=group, dedup="group_conjugacy")
+        assert count_classes(sols, REF1_HOPF_ORDER, opts) == len(reps)
 
     def test_invalid_dedup_mode(self):
         with pytest.raises(ValueError):
@@ -253,3 +299,26 @@ class TestOnePointGeometry:
 class TestIcosahedral:
     def test_involution_count(self):
         assert len(icosahedral_group().involutions()) == 15
+
+
+class TestOnePath:
+    def test_search_multiplies_no_rotations_outside_reverification(self, monkeypatch):
+        group = octahedral_group()
+        group.table  # built before counting
+        calls = []
+        original = RotationElement.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        def passes(name):
+            return lambda *args, **kwargs: CheckResult(name, True)
+
+        monkeypatch.setattr(RotationElement, "__mul__", counting)
+        monkeypatch.setattr(linkrep.search, "check_relators", passes("relators"))
+        monkeypatch.setattr(linkrep.search, "check_sw", passes("sw"))
+        opts = SearchOptions(group=group, dedup="group_conjugacy")
+        sols = enumerate_valid_decorations(ref1_diagram(), opts)
+        assert count_classes(sols, REF1_HOPF_ORDER, opts) >= 1
+        assert calls == []

@@ -2,10 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from linkrep.conditions import run_all_checks
-from linkrep.diagram import validate
+from linkrep.conditions import Decoration, run_all_checks
+from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram, validate
 from linkrep.rotation import RotationElement, rot
-from linkrep.search import ref1_decoration, ref1_diagram
 from linkrep.sldfile import (
     ArcStmt,
     CommentStmt,
@@ -19,12 +18,43 @@ from linkrep.sldfile import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _arc(aid, start, s_slot, end, e_slot, word):
+    return ArcBand(
+        id=aid,
+        start=CircleRef.parse(start),
+        start_slot=s_slot,
+        end=CircleRef.parse(end),
+        end_slot=e_slot,
+        word=tuple((CircleRef.parse(r), s) for r, s in word),
+    )
+
+
+def programmatic_ref1():
+    """REF-1 built by hand, independently of the parser."""
+    diagram = SingularLinkDiagram(
+        circles=("Y",),
+        hopfs=("TL", "TR", "BL", "BR"),
+        arcs=(
+            _arc("A1", "TL.a", 0, "TL.b", 0, [("BL.a", 1)]),
+            _arc("A2", "TR.a", 0, "TR.b", 0, [("BR.a", 1)]),
+            _arc("A3", "BL.a", 0, "BL.b", 0, [("TL.a", 1)]),
+            _arc("A4", "BR.a", 0, "BR.b", 0, [("TR.a", 1)]),
+            _arc("A5", "TL.a", 1, "BL.a", 1, [("TR.a", 1), ("BR.a", 1)]),
+            _arc("A6", "TR.a", 1, "BR.a", 1, [("TL.a", 1), ("BL.a", 1)]),
+            _arc("A7", "TL.b", 1, "Y", 0, [("TL.a", 1), ("Y", 1)]),
+            _arc("A8", "BL.b", 1, "TR.a", 2, [("BL.a", 1), ("TR.a", 1)]),
+        ),
+    )
+    cycles = {"TL": "(12)", "TR": "(14)", "BL": "(34)", "BR": "(23)", "Y": "(24)"}
+    decoration = Decoration.of({n: rot(c) for n, c in cycles.items()})
+    return diagram, decoration
+
+
 class TestParse:
     def test_ref1_fixture_matches_programmatic_diagram(self):
         doc = parse((FIXTURES / "ref1.sld").read_text())
         assert doc.group_name() == "octahedral"
-        assert doc.diagram() == ref1_diagram()
-        assert doc.decoration() == ref1_decoration()
+        assert (doc.diagram(), doc.decoration()) == programmatic_ref1()
 
     def test_comment_and_blank_lines(self):
         doc = parse("\n# hello there\n\ncircle c\n")
@@ -95,6 +125,20 @@ class TestParseErrors:
     def test_bad_scalar(self):
         with pytest.raises(SldParseError):
             parse("circle c\ndecorate c = matrix x 0 0 0 1 0 0 0 1\n")
+
+    def test_second_decoration_of_a_node(self):
+        with pytest.raises(SldParseError, match="decorated twice") as exc:
+            parse('hopf H\ndecorate H = perm "(12)"\ndecorate H = perm "(34)"\n')
+        assert exc.value.line == 3
+
+    def test_decoration_of_an_undeclared_node(self):
+        with pytest.raises(SldParseError, match="undeclared node 'ZZ'") as exc:
+            parse('circle c\ndecorate ZZ = perm "(12)"\ndecorate c = perm "()"\n')
+        assert exc.value.line == 2
+
+    def test_decoration_may_precede_the_declaration(self):
+        doc = parse('decorate c = perm "(12)"\ncircle c\n')
+        assert doc.decoration()["c"] == rot("(12)")
 
     def test_slot_collision_is_a_validation_matter_not_a_parse_error(self):
         doc = parse(
