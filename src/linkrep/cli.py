@@ -24,7 +24,7 @@ from .conditions import (
     ensure_total,
     run_all_checks,
 )
-from .diagram import DiagramError, SingularLinkDiagram, betti, components, validate
+from .diagram import DiagramError, SingularLinkDiagram, betti, components
 from .field import ExactScalar, format_scalar
 from .obstructions import (
     ObstructionReport,
@@ -104,19 +104,31 @@ def _diagram_obstructions(b2: int) -> Dict:
     }
 
 
+def _fill_diagram_fields(report: Dict, d: SingularLinkDiagram) -> None:
+    """The report's components, b1, b2 and obstructions; b1 stays None when a
+    Hopf node's members lie in different components."""
+    report["components"] = [list(b) for b in components(d).blocks]
+    try:
+        report["b1"], report["b2"] = betti(d)
+    except DiagramError:
+        report["b2"] = d.n_hopf
+    report["obstructions"] = _diagram_obstructions(d.n_hopf)
+
+
 def cmd_check(args) -> int:
     try:
         doc = _load_document(args.file)
     except (OSError, SldParseError) as exc:
         return _fail(str(exc), 2)
-    d = doc.diagram()
     report = _report_skeleton()
-    violations = validate(d)
-    report["wellformed"] = not violations
-    report["diagnostics"] = list(violations)
-    if violations:
+    try:
+        d = doc.diagram()
+    except DiagramError as exc:
+        report["wellformed"] = False
+        report["diagnostics"] = exc.violations
         print(json.dumps(report, indent=2))
         return _fail("diagram is not well-formed", 2)
+    report["wellformed"] = True
     dec = doc.decoration()
     if dec is None:
         return _fail("check requires a decorated diagram", 2)
@@ -126,13 +138,7 @@ def cmd_check(args) -> int:
         return _fail(str(exc), 2)
     checks = run_all_checks(d, dec, exhaustive_paths=args.all_sw_paths)
     report["checks"] = _checks_json(checks)
-    report["components"] = [list(b) for b in components(d).blocks]
-    if checks.selfint.passed:
-        b1, b2 = betti(d)
-        report["b1"], report["b2"] = b1, b2
-    else:
-        report["b2"] = d.n_hopf
-    report["obstructions"] = _diagram_obstructions(d.n_hopf)
+    _fill_diagram_fields(report, d)
     print(json.dumps(report, indent=2))
     return 0 if checks.passed else 1
 
@@ -165,23 +171,17 @@ def cmd_search(args) -> int:
         doc = _load_document(args.file)
     except (OSError, SldParseError) as exc:
         return _fail(str(exc), 2)
-    d = doc.diagram()
-    violations = validate(d)
-    if violations:
-        return _fail("; ".join(violations), 2)
+    try:
+        d = doc.diagram()
+    except DiagramError as exc:
+        return _fail(str(exc), 2)
     group_name = args.group or doc.group_name() or "octahedral"
     try:
         group = preset_group(group_name)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    opts = SearchOptions(
-        group=group, exhaustive_sw_paths=args.all_sw_paths, dedup=args.dedup
-    )
-    opts_desc = {
-        "group": group_name,
-        "exhaustive_sw_paths": opts.exhaustive_sw_paths,
-        "dedup": opts.dedup,
-    }
+    opts = SearchOptions(group=group, dedup=args.dedup)
+    opts_desc = {"group": group_name, "dedup": opts.dedup}
 
     cache_file = None
     if args.cache:
@@ -200,12 +200,7 @@ def cmd_search(args) -> int:
     classes = count_classes(solutions, list(d.hopfs), opts)
     report = _report_skeleton()
     report["wellformed"] = True
-    report["components"] = [list(b) for b in components(d).blocks]
-    try:
-        report["b1"], report["b2"] = betti(d)
-    except DiagramError:
-        report["b2"] = d.n_hopf
-    report["obstructions"] = _diagram_obstructions(d.n_hopf)
+    _fill_diagram_fields(report, d)
     report["search"] = {
         "raw_solutions": len(solutions),
         "classes": classes,
@@ -267,10 +262,10 @@ def cmd_canon(args) -> int:
         doc = _load_document(args.file)
     except (OSError, SldParseError) as exc:
         return _fail(str(exc), 2)
-    d = doc.diagram()
-    violations = validate(d)
-    if violations:
-        return _fail("; ".join(violations), 2)
+    try:
+        d = doc.diagram()
+    except DiagramError as exc:
+        return _fail(str(exc), 2)
     dec = doc.decoration()
     if dec is None:
         return _fail("canon requires a decorated diagram", 2)
@@ -311,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("none", "group_conjugacy", "so3_canonical"),
         default="so3_canonical",
     )
-    p.add_argument("--all-sw-paths", action="store_true")
     p.add_argument("--cache", help="directory for content-hash keyed result reuse")
     p.set_defaults(func=cmd_search)
 

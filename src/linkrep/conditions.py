@@ -10,8 +10,9 @@ provides an independent route to the relator check.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .diagram import (
     ArcBand,
@@ -19,7 +20,6 @@ from .diagram import (
     DiagramError,
     SingularLinkDiagram,
     check_selfint_structure,
-    ensure_wellformed,
     ribbon_genus,
     triple_arc_crosscheck,
 )
@@ -87,20 +87,26 @@ class ConditionReport:
         )
 
 
+def _signed_product(factors: Iterable[Tuple[RotationElement, int]]) -> RotationElement:
+    """g1^e1 g2^e2 ... for factors (g, e) with e = +1 or -1, leftmost first;
+    the fold starts from the first factor, so only an empty sequence gives
+    the identity."""
+    out = None
+    for g, sign in factors:
+        f = g if sign == 1 else g.inverse()
+        out = f if out is None else out * f
+    return RotationElement.identity() if out is None else out
+
+
 def holonomy_word(a: ArcBand, dec: Decoration) -> RotationElement:
     """C(A): the ordered product of decorations of the discs the arc crosses,
     raised to the crossing signs, leftmost factor first."""
-    out = RotationElement.identity()
-    for ref, sign in a.word:
-        g = dec.of_ref(ref)
-        out = out * (g if sign == 1 else g.inverse())
-    return out
+    return _signed_product((dec.of_ref(ref), sign) for ref, sign in a.word)
 
 
 def check_relators(d: SingularLinkDiagram, dec: Decoration) -> CheckResult:
     """Every arc must conjugate its start decoration to its end decoration:
     h = C(A) g C(A)^-1 with the arc oriented start -> end."""
-    ensure_wellformed(d)
     ensure_total(d, dec)
     diagnostics = []
     for a in d.arcs:
@@ -137,9 +143,16 @@ def check_genus0(d: SingularLinkDiagram) -> CheckResult:
 # Stiefel-Whitney condition
 # ---------------------------------------------------------------------------
 
-def _adjacency(d: SingularLinkDiagram) -> Dict[str, List[Tuple[ArcBand, int]]]:
+_Adjacency = Dict[str, List[Tuple[ArcBand, int]]]
+
+#: most simple member paths `check_sw(..., exhaustive_paths=True)` examines
+#: per Hopf node; it reports when more exist
+SIMPLE_PATH_LIMIT = 10000
+
+
+def _adjacency(d: SingularLinkDiagram) -> _Adjacency:
     """circle id -> [(arc, direction)], direction +1 start->end, -1 end->start."""
-    adj: Dict[str, List[Tuple[ArcBand, int]]] = {}
+    adj: _Adjacency = {}
     for a in sorted(d.arcs, key=lambda a: a.id):
         adj.setdefault(a.start.circle_id, []).append((a, 1))
         adj.setdefault(a.end.circle_id, []).append((a, -1))
@@ -147,13 +160,12 @@ def _adjacency(d: SingularLinkDiagram) -> Dict[str, List[Tuple[ArcBand, int]]]:
 
 
 def _shortest_arc_path(
-    d: SingularLinkDiagram, src: str, dst: str
+    adj: _Adjacency, src: str, dst: str
 ) -> Optional[List[Tuple[ArcBand, int]]]:
     """BFS path of (arc, direction) steps from circle src to circle dst,
     ties broken by arc id order."""
     if src == dst:
         return []
-    adj = _adjacency(d)
     prev: Dict[str, Tuple[str, ArcBand, int]] = {}
     queue = deque([src])
     seen = {src}
@@ -179,18 +191,15 @@ def _shortest_arc_path(
 
 
 def _all_simple_paths(
-    d: SingularLinkDiagram, src: str, dst: str, limit: int = 10000
-) -> List[List[Tuple[ArcBand, int]]]:
-    adj = _adjacency(d)
-    paths: List[List[Tuple[ArcBand, int]]] = []
+    adj: _Adjacency, src: str, dst: str
+) -> Iterator[List[Tuple[ArcBand, int]]]:
+    """Every simple path of (arc, direction) steps from src to dst, depth first."""
     stack: List[Tuple[ArcBand, int]] = []
     visited = {src}
 
     def walk(cur: str):
-        if len(paths) >= limit:
-            return
         if cur == dst:
-            paths.append(list(stack))
+            yield list(stack)
             return
         for a, direction in adj.get(cur, []):
             nxt = a.end.circle_id if direction == 1 else a.start.circle_id
@@ -198,21 +207,16 @@ def _all_simple_paths(
                 continue
             visited.add(nxt)
             stack.append((a, direction))
-            walk(nxt)
+            yield from walk(nxt)
             stack.pop()
             visited.discard(nxt)
 
-    walk(src)
-    return paths
+    return walk(src)
 
 
 def _path_product(path: List[Tuple[ArcBand, int]], dec: Decoration) -> RotationElement:
     """Ordered product of C(A_i)^(+-1); arcs traversed against orientation invert."""
-    out = RotationElement.identity()
-    for a, direction in path:
-        c = holonomy_word(a, dec)
-        out = out * (c if direction == 1 else c.inverse())
-    return out
+    return _signed_product((holonomy_word(a, dec), direction) for a, direction in path)
 
 
 def check_sw(
@@ -220,10 +224,12 @@ def check_sw(
 ) -> CheckResult:
     """For every Hopf node with decoration g: g is a pi-rotation and the path
     product P from member a to member b avoids {I, g}.  P commuting with g is
-    asserted and any violation surfaced as an internal inconsistency."""
-    ensure_wellformed(d)
+    asserted and any violation surfaced as an internal inconsistency.  With
+    exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
+    checked for a verdict differing from the shortest path's."""
     ensure_total(d, dec)
     identity = RotationElement.identity()
+    adj = _adjacency(d)
     diagnostics: List[str] = []
     passed = True
     for h in d.hopfs:
@@ -232,7 +238,7 @@ def check_sw(
             diagnostics.append(f"hopf {h}: decoration is not a pi-rotation")
             passed = False
             continue
-        path = _shortest_arc_path(d, f"{h}.a", f"{h}.b")
+        path = _shortest_arc_path(adj, f"{h}.a", f"{h}.b")
         if path is None:
             raise DiagramError(
                 f"hopf {h}: no arc path between members (selfint precondition)"
@@ -247,13 +253,21 @@ def check_sw(
                 f"hopf {h}: internal inconsistency: path product does not commute with g"
             )
         if exhaustive_paths:
+            paths = list(
+                islice(_all_simple_paths(adj, f"{h}.a", f"{h}.b"), SIMPLE_PATH_LIMIT + 1)
+            )
             verdicts = set()
-            for other in _all_simple_paths(d, f"{h}.a", f"{h}.b"):
+            for other in paths[:SIMPLE_PATH_LIMIT]:
                 q = _path_product(other, dec)
                 verdicts.add(q != identity and q != g)
             if len(verdicts) > 1:
                 diagnostics.append(
                     f"hopf {h}: path-dependent verdict across simple paths"
+                )
+            if len(paths) > SIMPLE_PATH_LIMIT:
+                diagnostics.append(
+                    f"hopf {h}: only the first {SIMPLE_PATH_LIMIT} simple paths "
+                    "were examined"
                 )
     return CheckResult("sw", passed, tuple(diagnostics))
 
@@ -293,7 +307,6 @@ class GroupPresentation:
 def extract_presentation(d: SingularLinkDiagram) -> GroupPresentation:
     """One generator per node; one relator x_end^-1 W x_start W^-1 per arc,
     where W is the arc word with Hopf members mapped to their node generator."""
-    ensure_wellformed(d)
     generators = tuple(d.hopfs) + tuple(d.circles)
     relators = []
     for a in d.arcs:
@@ -311,11 +324,7 @@ def extract_presentation(d: SingularLinkDiagram) -> GroupPresentation:
 def evaluate_word(
     word: Tuple[Tuple[str, int], ...], dec: Decoration
 ) -> RotationElement:
-    out = RotationElement.identity()
-    for sym, exp in word:
-        g = dec[sym]
-        out = out * (g if exp == 1 else g.inverse())
-    return out
+    return _signed_product((dec[sym], exp) for sym, exp in word)
 
 
 def evaluate_representation(p: GroupPresentation, dec: Decoration) -> bool:

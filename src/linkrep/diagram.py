@@ -14,7 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 
 class DiagramError(Exception):
-    """A structural problem with a diagram."""
+    """A structural problem with a diagram; `violations` lists every one."""
+
+    def __init__(self, *violations: str):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,17 @@ class ArcBand:
 
 @dataclass(frozen=True)
 class SingularLinkDiagram:
+    """A well-formed diagram: construction raises DiagramError listing every
+    violation found by `validate`."""
+
     circles: Tuple[str, ...] = ()
     hopfs: Tuple[str, ...] = ()
     arcs: Tuple[ArcBand, ...] = ()
+
+    def __post_init__(self):
+        violations = validate(self)
+        if violations:
+            raise DiagramError(*violations)
 
     @property
     def n_hopf(self) -> int:
@@ -100,11 +112,17 @@ def validate(d: SingularLinkDiagram) -> List[str]:
         if nid in seen:
             violations.append(f"duplicate node id {nid!r}")
         seen.add(nid)
+    members = {f"{h}.{m}" for h in d.hopfs for m in ("a", "b")}
+    for c in d.circles:
+        if c in members:
+            violations.append(f"circle id {c!r} is a Hopf member id")
     arc_ids = set()
     for a in d.arcs:
         if a.id in arc_ids:
             violations.append(f"duplicate arc id {a.id!r}")
         arc_ids.add(a.id)
+        if a.twist % 2 != 0:
+            violations.append(f"non-orientable band {a.id}")
     endpoint_slots = set()
     for a in d.arcs:
         for ref, slot, which in ((a.start, a.start_slot, "start"), (a.end, a.end_slot, "end")):
@@ -121,12 +139,6 @@ def validate(d: SingularLinkDiagram) -> List[str]:
     return violations
 
 
-def ensure_wellformed(d: SingularLinkDiagram) -> None:
-    violations = validate(d)
-    if violations:
-        raise DiagramError("; ".join(violations))
-
-
 @dataclass(frozen=True)
 class ComponentPartition:
     """Connected components of the circle graph (vertices circles, edges arcs)."""
@@ -141,7 +153,6 @@ class ComponentPartition:
 
 
 def components(d: SingularLinkDiagram) -> ComponentPartition:
-    ensure_wellformed(d)
     ids = d.circle_ids()
     index = {cid: i for i, cid in enumerate(ids)}
     parent = list(range(len(ids)))
@@ -179,7 +190,6 @@ def check_selfint_structure(d: SingularLinkDiagram) -> List[str]:
 
 def betti(d: SingularLinkDiagram) -> Tuple[int, int]:
     """(b1, b2) of the surgered manifold: component count and Hopf-node count."""
-    ensure_wellformed(d)
     if check_selfint_structure(d):
         raise DiagramError("component count ill-defined for immersed link")
     return (len(components(d).blocks), d.n_hopf)
@@ -236,12 +246,9 @@ def ribbon_genus(d: SingularLinkDiagram) -> List[Tuple[Tuple[str, ...], int]]:
     """Genus of the closed surface of each component of the ribbon graph.
 
     Each circle is a disc, each arc an untwisted band (odd twists are
-    rejected), boundary circles are capped off: genus = (2 - (V - E + F)) / 2.
+    rejected by validation), boundary circles are capped off:
+    genus = (2 - (V - E + F)) / 2.
     """
-    ensure_wellformed(d)
-    for a in d.arcs:
-        if a.twist % 2 != 0:
-            raise DiagramError(f"non-orientable band {a.id}")
     part = components(d)
     cyclic = _half_edges(d)
     out = []

@@ -130,6 +130,8 @@ def parse_scalar(text: str) -> ExactScalar:
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
+    if any(m.group(q) is not None and int(m.group(q)) == 0 for q in ("rb", "ib")):
+        raise ValueError(f"zero denominator in scalar {text!r}")
     a = Fraction(int(m.group("ra")), int(m.group("rb") or 1))
     b = Fraction(0)
     if m.group("ia") is not None:

@@ -25,7 +25,7 @@ from .conditions import (
     check_selfint,
     check_sw,
 )
-from .diagram import ArcBand, SingularLinkDiagram, ensure_wellformed
+from .diagram import ArcBand, SingularLinkDiagram
 from .field import (
     AxisLine,
     Matrix3,
@@ -48,7 +48,6 @@ class StructuralConditionError(Exception):
 @dataclass(frozen=True)
 class SearchOptions:
     group: FiniteRotationGroup
-    exhaustive_sw_paths: bool = False
     dedup: str = "so3_canonical"  # none | group_conjugacy | so3_canonical
 
     def __post_init__(self):
@@ -90,7 +89,6 @@ def enumerate_valid_decorations(
     a failing self-intersection condition makes every Stiefel-Whitney path
     product undefined, so the result is simply empty.
     """
-    ensure_wellformed(d)
     if not check_genus0(d).passed:
         raise StructuralConditionError("genus0 condition fails on the diagram")
     if not check_selfint(d).passed:
@@ -156,9 +154,7 @@ def enumerate_valid_decorations(
         if not unassigned:
             dec = Decoration.of({n: elements[i] for n, i in assignment.items()})
             # re-verify through the public checks: no pruning soundness holes
-            if check_relators(d, dec).passed and check_sw(
-                d, dec, exhaustive_paths=opts.exhaustive_sw_paths
-            ).passed:
+            if check_relators(d, dec).passed and check_sw(d, dec).passed:
                 solutions.append((tuple(assignment[n] for n in node_names), dec))
             return
         node = unassigned[0]

@@ -138,18 +138,15 @@ def _parse_arc(tokens: List[str], lineno: int) -> ArcBand:
         if sign_text not in ("+", "-"):
             raise SldParseError(lineno, f"word sign must be + or -, got {sign_text!r}")
         word.append((CircleRef.parse(ref_text), 1 if sign_text == "+" else -1))
-    try:
-        return ArcBand(
-            id=arc_id,
-            start=start,
-            start_slot=start_slot,
-            end=end,
-            end_slot=end_slot,
-            word=tuple(word),
-            twist=twist,
-        )
-    except ValueError as exc:
-        raise SldParseError(lineno, str(exc))
+    return ArcBand(
+        id=arc_id,
+        start=start,
+        start_slot=start_slot,
+        end=end,
+        end_slot=end_slot,
+        word=tuple(word),
+        twist=twist,
+    )
 
 
 def _parse_decorate(tokens: List[str], lineno: int) -> DecorateStmt:
@@ -161,26 +158,19 @@ def _parse_decorate(tokens: List[str], lineno: int) -> DecorateStmt:
     if kind == "perm":
         if len(tokens) != 5:
             raise SldParseError(lineno, "perm decoration takes one cycle token")
-        try:
-            perm = CubePermutation.parse(tokens[4])
-        except ValueError as exc:
-            raise SldParseError(lineno, str(exc))
+        perm = CubePermutation.parse(tokens[4])
         return DecorateStmt(node=node, element=perm_to_rotation(perm), perm=perm)
     if kind == "matrix":
         if len(tokens) != 13:
             raise SldParseError(lineno, "matrix decoration takes nine scalars")
-        try:
-            entries = [parse_scalar(t) for t in tokens[4:13]]
-            element = RotationElement.of(
-                [entries[0:3], entries[3:6], entries[6:9]]
-            )
-        except ValueError as exc:
-            raise SldParseError(lineno, str(exc))
+        entries = [parse_scalar(t) for t in tokens[4:13]]
+        element = RotationElement.of([entries[0:3], entries[3:6], entries[6:9]])
         return DecorateStmt(node=node, element=element, perm=None)
     raise SldParseError(lineno, f"unknown element kind {kind!r}")
 
 
 def parse(text: str) -> SldDocument:
+    """The document; SldParseError with the line number on any malformed line."""
     statements: List[Statement] = []
     node_ids = set()
     arc_ids = set()
@@ -197,35 +187,38 @@ def parse(text: str) -> SldDocument:
         except ValueError as exc:
             raise SldParseError(lineno, f"tokenization failed: {exc}")
         keyword = tokens[0]
-        if keyword == "group":
-            if len(tokens) != 2 or tokens[1] not in GROUP_NAMES:
-                raise SldParseError(
-                    lineno, f"group must be one of {', '.join(GROUP_NAMES)}"
+        try:
+            if keyword == "group":
+                if len(tokens) != 2 or tokens[1] not in GROUP_NAMES:
+                    raise SldParseError(
+                        lineno, f"group must be one of {', '.join(GROUP_NAMES)}"
+                    )
+                statements.append(GroupStmt(tokens[1]))
+            elif keyword in ("circle", "hopf"):
+                if len(tokens) != 2:
+                    raise SldParseError(lineno, f"{keyword} takes exactly one id")
+                if tokens[1] in node_ids:
+                    raise SldParseError(lineno, f"duplicate id {tokens[1]!r}")
+                node_ids.add(tokens[1])
+                statements.append(
+                    CircleStmt(tokens[1]) if keyword == "circle" else HopfStmt(tokens[1])
                 )
-            statements.append(GroupStmt(tokens[1]))
-        elif keyword in ("circle", "hopf"):
-            if len(tokens) != 2:
-                raise SldParseError(lineno, f"{keyword} takes exactly one id")
-            if tokens[1] in node_ids:
-                raise SldParseError(lineno, f"duplicate id {tokens[1]!r}")
-            node_ids.add(tokens[1])
-            statements.append(
-                CircleStmt(tokens[1]) if keyword == "circle" else HopfStmt(tokens[1])
-            )
-        elif keyword == "arc":
-            arc = _parse_arc(tokens, lineno)
-            if arc.id in arc_ids:
-                raise SldParseError(lineno, f"duplicate id {arc.id!r}")
-            arc_ids.add(arc.id)
-            statements.append(ArcStmt(arc))
-        elif keyword == "decorate":
-            stmt = _parse_decorate(tokens, lineno)
-            if stmt.node in decorated:
-                raise SldParseError(lineno, f"node {stmt.node!r} is decorated twice")
-            decorated[stmt.node] = lineno
-            statements.append(stmt)
-        else:
-            raise SldParseError(lineno, f"unknown keyword {keyword!r}")
+            elif keyword == "arc":
+                arc = _parse_arc(tokens, lineno)
+                if arc.id in arc_ids:
+                    raise SldParseError(lineno, f"duplicate id {arc.id!r}")
+                arc_ids.add(arc.id)
+                statements.append(ArcStmt(arc))
+            elif keyword == "decorate":
+                stmt = _parse_decorate(tokens, lineno)
+                if stmt.node in decorated:
+                    raise SldParseError(lineno, f"node {stmt.node!r} is decorated twice")
+                decorated[stmt.node] = lineno
+                statements.append(stmt)
+            else:
+                raise SldParseError(lineno, f"unknown keyword {keyword!r}")
+        except ValueError as exc:  # a malformed reference, scalar or element
+            raise SldParseError(lineno, str(exc))
     for node, lineno in decorated.items():
         if node not in node_ids:
             raise SldParseError(lineno, f"decoration of undeclared node {node!r}")

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram, validate
+from linkrep.conditions import Decoration
+from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram
+from linkrep.rotation import octahedral_group
 from linkrep.sldfile import parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -53,9 +55,15 @@ def random_diagram(rng: random.Random) -> SingularLinkDiagram:
                 twist=rng.choice((0, 2)),
             )
         )
-    d = SingularLinkDiagram(circles=circles, hopfs=hopfs, arcs=tuple(arcs))
-    assert not validate(d)
-    return d
+    return SingularLinkDiagram(circles=circles, hopfs=hopfs, arcs=tuple(arcs))
+
+
+def random_decoration(d: SingularLinkDiagram, rng: random.Random) -> Decoration:
+    """Every node decorated by a random octahedral element."""
+    group = octahedral_group().elements
+    return Decoration.of(
+        {n: rng.choice(group) for n in list(d.hopfs) + list(d.circles)}
+    )
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import linkrep.cli
+import linkrep.conditions
 from linkrep.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -84,9 +85,32 @@ class TestCheck:
         assert code == 2
         assert out["wellformed"] is False
 
+    def test_circle_named_like_a_hopf_member_exits_two(self, capsys, tmp_path):
+        f = tmp_path / "clash.sld"
+        f.write_text(Path(COMMUTING).read_text() + 'circle H.a\ndecorate H.a = perm "()"\n')
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2
+        assert out["wellformed"] is False
+        assert out["diagnostics"] == ["circle id 'H.a' is a Hopf member id"]
+
     def test_all_sw_paths_flag(self, capsys):
         code, out, err = run(capsys, "check", REF1, "--all-sw-paths")
         assert code == 0
+
+    def test_all_sw_paths_reports_unexamined_paths(self, capsys, tmp_path, monkeypatch):
+        # a second arc between H's members: two simple paths, limit one
+        monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 1)
+        f = tmp_path / "two_paths.sld"
+        f.write_text(
+            Path(COMMUTING).read_text() + "arc A3 from H.a slot 1 to H.b slot 1 word C:+\n"
+        )
+        code, out, err = run(capsys, "check", str(f), "--all-sw-paths")
+        assert code == 0
+        assert out["checks"]["sw"]["diagnostics"] == [
+            "hopf H: only the first 1 simple paths were examined"
+        ]
+        code, out, err = run(capsys, "check", str(f))
+        assert out["checks"]["sw"]["diagnostics"] == []
 
     def test_second_decoration_exits_two(self, capsys, tmp_path):
         f = tmp_path / "twice.sld"
@@ -176,6 +200,12 @@ class TestSearch:
         monkeypatch.setattr(linkrep.cli, "__version__", "0.0.0-other")
         run(capsys, "search", COMMUTING, "--cache", str(cache))
         assert len(list(cache.glob("*.json"))) == 2
+
+    def test_all_sw_paths_is_not_a_search_option(self, capsys):
+        # the search reads only the sw verdict, which the flag cannot change
+        with pytest.raises(SystemExit) as exc:
+            main(["search", COMMUTING, "--all-sw-paths"])
+        assert exc.value.code == 2
 
     def test_solutions_reported_as_perm_or_matrix(self, capsys):
         code, out, err = run(capsys, "search", COMMUTING)

@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linkrep.conditions
 from linkrep.conditions import (
     CheckResult,
     Decoration,
@@ -18,7 +23,7 @@ from linkrep.conditions import (
 from linkrep.diagram import ArcBand, CircleRef, DiagramError, SingularLinkDiagram
 from linkrep.rotation import RotationElement, conjugate, octahedral_group, rot
 
-from conftest import random_diagram, ref1_decoration, ref1_diagram
+from conftest import random_decoration, random_diagram, ref1_decoration, ref1_diagram
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -30,13 +35,6 @@ def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
         end_slot=e_slot,
         word=tuple((CircleRef.parse(r), s) for r, s in word),
         twist=twist,
-    )
-
-
-def random_decoration(d, rng):
-    group = octahedral_group().elements
-    return Decoration.of(
-        {n: rng.choice(group) for n in list(d.hopfs) + list(d.circles)}
     )
 
 
@@ -58,6 +56,27 @@ class TestHolonomyWord:
         dec = Decoration.of({"u": rot("(123)")})
         a = arc("t", "u", 0, "u", 1, [("u", -1)])
         assert holonomy_word(a, dec) == rot("(132)")
+
+    def test_folds_never_multiply_by_the_identity(self, monkeypatch):
+        # an n-factor fold costs n - 1 products, none of them by I
+        products = []
+        real_mul = RotationElement.__mul__
+
+        def mul(x, y):
+            products.append((x, y))
+            return real_mul(x, y)
+
+        monkeypatch.setattr(RotationElement, "__mul__", mul)
+        dec = Decoration.of({"u": rot("(34)"), "v": rot("(14)"), "w": rot("(123)")})
+        a = arc("t", "u", 0, "v", 0, [("u", 1), ("v", 1), ("w", -1)])
+        assert holonomy_word(a, dec) == rot("(34)") * rot("(14)") * rot("(132)")
+        products.clear()
+        holonomy_word(a, dec)
+        assert len(products) == 2
+        products.clear()
+        assert evaluate_word((("w", 1),), dec) == rot("(123)")
+        assert evaluate_word((), dec) == RotationElement.identity()
+        assert products == []
 
 
 class TestRelators:
@@ -256,6 +275,166 @@ class TestSW:
         res = check_sw(ref1_diagram(), ref1_decoration(), exhaustive_paths=True)
         assert res.passed
         assert not any("path-dependent" in line for line in res.diagnostics)
+
+    def test_adjacency_built_once_per_check(self, monkeypatch):
+        calls = []
+        real = linkrep.conditions._adjacency
+        monkeypatch.setattr(
+            linkrep.conditions, "_adjacency", lambda d: calls.append(d) or real(d)
+        )
+        d = ref1_diagram()
+        assert check_sw(d, ref1_decoration(), exhaustive_paths=True).passed
+        assert calls == [d]
+
+
+class TestSimplePathLimit:
+    # k parallel arcs h.a -> h.b, each crossing c: k simple member paths
+    @staticmethod
+    def parallel(k):
+        d = SingularLinkDiagram(
+            circles=("c",),
+            hopfs=("h",),
+            arcs=tuple(arc(f"a{i}", "h.a", i, "h.b", i, [("c", 1)]) for i in range(k))
+            + (arc("b", "h.a", k, "c", 0),),
+        )
+        return d, Decoration.of({"h": rot("(12)"), "c": rot("(34)")})
+
+    def test_truncation_is_reported(self, monkeypatch):
+        monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 2)
+        d, dec = self.parallel(3)
+        res = check_sw(d, dec, exhaustive_paths=True)
+        assert res.passed
+        assert res.diagnostics == ("hopf h: only the first 2 simple paths were examined",)
+
+    def test_no_report_at_exactly_the_limit(self, monkeypatch):
+        monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 3)
+        d, dec = self.parallel(3)
+        assert check_sw(d, dec, exhaustive_paths=True).diagnostics == ()
+
+    def test_no_report_without_exhaustive_paths(self, monkeypatch):
+        monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 1)
+        d, dec = self.parallel(3)
+        assert check_sw(d, dec).diagnostics == ()
+
+
+def _passed(d, dec):
+    report = run_all_checks(d, dec)
+    return [c.passed for c in (report.genus0, report.selfint, report.relators, report.sw)]
+
+
+def _rebuild(d, circles=None, hopfs=None, arc_map=lambda a: a):
+    return SingularLinkDiagram(
+        circles=d.circles if circles is None else circles,
+        hopfs=d.hopfs if hopfs is None else hopfs,
+        arcs=tuple(arc_map(a) for a in d.arcs),
+    )
+
+
+def _renamed(d, dec, rng):
+    nodes = list(d.circles) + list(d.hopfs)
+    fresh = [f"n{i}" for i in range(len(nodes))]
+    rng.shuffle(fresh)
+    name = dict(zip(nodes, fresh))
+
+    def ref(r):
+        return CircleRef(name[r.node], r.member)
+
+    d2 = _rebuild(
+        d,
+        circles=tuple(name[c] for c in d.circles),
+        hopfs=tuple(name[h] for h in d.hopfs),
+        arc_map=lambda a: ArcBand(
+            id=a.id,
+            start=ref(a.start),
+            start_slot=a.start_slot,
+            end=ref(a.end),
+            end_slot=a.end_slot,
+            word=tuple((ref(r), s) for r, s in a.word),
+            twist=a.twist,
+        ),
+    )
+    return d2, Decoration.of({name[n]: g for n, g in dec.mapping})
+
+
+def _slots_relabelled(d, rng):
+    # a random strictly increasing map of the used slots, per circle
+    used = {}
+    for a in d.arcs:
+        used.setdefault(a.start.circle_id, set()).add(a.start_slot)
+        used.setdefault(a.end.circle_id, set()).add(a.end_slot)
+    new = {}
+    for cid, slots in used.items():
+        value = rng.randint(-5, 5)
+        for slot in sorted(slots):
+            new[cid, slot] = value
+            value += rng.randint(1, 4)
+    return _rebuild(
+        d,
+        arc_map=lambda a: ArcBand(
+            id=a.id,
+            start=a.start,
+            start_slot=new[a.start.circle_id, a.start_slot],
+            end=a.end,
+            end_slot=new[a.end.circle_id, a.end_slot],
+            word=a.word,
+            twist=a.twist,
+        ),
+    )
+
+
+def _some_arcs_reversed(d, rng):
+    flip = {a.id for a in d.arcs if rng.random() < 0.5}
+    return _rebuild(
+        d,
+        arc_map=lambda a: a
+        if a.id not in flip
+        else ArcBand(
+            id=a.id,
+            start=a.end,
+            start_slot=a.end_slot,
+            end=a.start,
+            end_slot=a.start_slot,
+            word=tuple((r, -s) for r, s in reversed(a.word)),
+            twist=a.twist,
+        ),
+    )
+
+
+class TestInvariance:
+    # the passed flag of each of the four checks, over random diagrams and
+    # octahedral decorations, under the symmetries the maths guarantees
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from(octahedral_group().elements))
+    def test_global_conjugation(self, seed, c):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        dec = random_decoration(d, rng)
+        assert _passed(d, dec.conjugated(c)) == _passed(d, dec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_node_renaming(self, seed):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        dec = random_decoration(d, rng)
+        assert _passed(*_renamed(d, dec, rng)) == _passed(d, dec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_monotone_slot_relabelling(self, seed):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        dec = random_decoration(d, rng)
+        assert _passed(_slots_relabelled(d, rng), dec) == _passed(d, dec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_arc_reversal(self, seed):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        dec = random_decoration(d, rng)
+        assert _passed(_some_arcs_reversed(d, rng), dec) == _passed(d, dec)
 
 
 class TestRunAll:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import linkrep.diagram
+from linkrep.conditions import extract_presentation, run_all_checks
 from linkrep.diagram import (
     ArcBand,
     CircleRef,
@@ -14,7 +16,12 @@ from linkrep.diagram import (
     validate,
 )
 
-from conftest import random_diagram, ref1_diagram
+from linkrep.rotation import octahedral_group
+from linkrep.search import SearchOptions, enumerate_valid_decorations
+
+from linkrep.sldfile import parse
+
+from conftest import FIXTURES, random_diagram, ref1_diagram
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -30,24 +37,63 @@ def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
 
 
 class TestValidate:
+    # a malformed diagram cannot be built: construction raises DiagramError
+    # carrying every violation validate() finds
+
     def test_empty_diagram(self):
         d = SingularLinkDiagram()
         assert validate(d) == []
         assert d.n_hopf == 0 and d.n_simple == 0
 
     def test_unresolved_reference(self):
-        d = SingularLinkDiagram(
-            circles=("c1",), arcs=(arc("a1", "c1", 0, "ghost", 0),)
-        )
-        assert any("unresolved reference" in v for v in validate(d))
+        with pytest.raises(DiagramError, match="unresolved reference") as exc:
+            SingularLinkDiagram(circles=("c1",), arcs=(arc("a1", "c1", 0, "ghost", 0),))
+        assert exc.value.violations == ["unresolved reference ghost at end of arc a1"]
 
     def test_slot_collision(self):
-        d = SingularLinkDiagram(circles=("c1",), arcs=(arc("a1", "c1", 0, "c1", 0),))
-        assert any("slot collision" in v for v in validate(d))
+        with pytest.raises(DiagramError, match="slot collision"):
+            SingularLinkDiagram(circles=("c1",), arcs=(arc("a1", "c1", 0, "c1", 0),))
 
     def test_duplicate_ids(self):
-        d = SingularLinkDiagram(circles=("c1", "c1"))
-        assert any("duplicate node id" in v for v in validate(d))
+        with pytest.raises(DiagramError, match="duplicate node id"):
+            SingularLinkDiagram(circles=("c1", "c1"))
+
+    def test_circle_named_like_a_hopf_member(self):
+        # circle ids must be distinct circle vertices; H.a is a member of H
+        with pytest.raises(DiagramError, match="'H.a' is a Hopf member id"):
+            SingularLinkDiagram(circles=("H.a",), hopfs=("H",))
+
+    def test_error_lists_every_violation(self):
+        with pytest.raises(DiagramError) as exc:
+            SingularLinkDiagram(
+                circles=("c1", "c1"),
+                arcs=(
+                    arc("a1", "c1", 0, "c1", 0, [("ghost", 1)]),
+                    arc("a2", "c1", 1, "c1", 2, twist=1),
+                ),
+            )
+        assert exc.value.violations == [
+            "duplicate node id 'c1'",
+            "non-orientable band a2",
+            "slot collision at c1:0 (arc a1)",
+            "unresolved reference ghost in word of arc a1",
+        ]
+        assert str(exc.value) == "; ".join(exc.value.violations)
+
+    def test_validate_runs_once_per_diagram(self, monkeypatch):
+        calls = []
+        real = linkrep.diagram.validate
+        monkeypatch.setattr(
+            linkrep.diagram, "validate", lambda d: calls.append(d) or real(d)
+        )
+        doc = parse((FIXTURES / "commuting.sld").read_text())
+        d, dec = doc.diagram(), doc.decoration()
+        assert len(calls) == 1
+        run_all_checks(d, dec, exhaustive_paths=True)
+        extract_presentation(d)
+        betti(d)
+        enumerate_valid_decorations(d, SearchOptions(group=octahedral_group()))
+        assert calls == [d]
 
 
 class TestComponents:
@@ -134,11 +180,12 @@ class TestRibbonGenus:
         assert all(g == 0 for _, g in ribbon_genus(ref1_diagram()))
 
     def test_odd_twist_rejected(self):
-        d = SingularLinkDiagram(
-            circles=("c1", "c2"), arcs=(arc("a1", "c1", 0, "c2", 0, twist=1),)
-        )
-        with pytest.raises(DiagramError, match="non-orientable"):
-            ribbon_genus(d)
+        # a non-orientable band is a validation violation: the diagram
+        # cannot be built, so ribbon_genus never sees one
+        with pytest.raises(DiagramError, match="non-orientable band a1"):
+            SingularLinkDiagram(
+                circles=("c1", "c2"), arcs=(arc("a1", "c1", 0, "c2", 0, twist=1),)
+            )
 
     def test_slot_relabeling_invariance(self, rng):
         for _ in range(40):

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkrep.cli import main
 from linkrep.conditions import Decoration, run_all_checks
-from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram, validate
+from linkrep.diagram import ArcBand, CircleRef, DiagramError, SingularLinkDiagram
 from linkrep.rotation import RotationElement, rot
 from linkrep.sldfile import (
     ArcStmt,
@@ -144,7 +150,81 @@ class TestParseErrors:
         doc = parse(
             "circle c\narc a from c slot 0 to c slot 0 word\n"
         )
-        assert any("slot collision" in v for v in validate(doc.diagram()))
+        with pytest.raises(DiagramError, match="slot collision"):
+            doc.diagram()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "arc a from x.c slot 0 to y slot 0 word",
+            "arc a from y slot 0 to y slot 1 word y.q:+",
+        ],
+    )
+    def test_bad_hopf_member_tag(self, line):
+        with pytest.raises(SldParseError, match="bad Hopf member tag") as exc:
+            parse(f"circle y\n{line}\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("scalar", ["1/0", "1+0/0*r5", "0/00"])
+    def test_zero_denominator(self, scalar):
+        with pytest.raises(SldParseError, match="zero denominator") as exc:
+            parse(f"circle c\ndecorate c = matrix {scalar} 0 0 0 1 0 0 0 1\n")
+        assert exc.value.line == 2
+
+
+COMMUTING_TEXT = (FIXTURES / "commuting.sld").read_text()
+_REFS = st.sampled_from(["H", "H.a", "H.b", "H.c", "C", "C.a", "Z", "Z.b", ".", "H."])
+_SCALARS = st.sampled_from(["0", "1", "-1", "1/2", "1/0", "0/0", "1+0/0*r5", "1/4-1/4*r5", "x"])
+_TOKENS = st.sampled_from(
+    ["group", "octahedral", "circle", "hopf", "arc", "decorate", "from", "to",
+     "slot", "word", "twist", "perm", "matrix", "=", "H", "C", "Z", "H.a", "H.q",
+     "A1", "0", "1", "-1", "C:+", "H.b:-", "H.x:+", "C:*", '"(12)"', '"(11)"',
+     "1/0", "1+0/0*r5", '"', "#"]
+)
+_ARC_LINES = st.builds(
+    "arc {} from {} slot {} to {} slot {} word {}{}".format,
+    st.sampled_from(["A1", "A3", "Z"]),
+    _REFS,
+    st.integers(-1, 2),
+    _REFS,
+    st.integers(-1, 2),
+    st.lists(st.builds("{}:{}".format, _REFS, st.sampled_from("+-")), max_size=3).map(" ".join),
+    st.sampled_from(["", " twist 1", " twist 2", " twist -4", " twist x"]),
+)
+_DECORATE_LINES = st.one_of(
+    st.builds('decorate {} = perm "{}"'.format, _REFS, st.sampled_from(["()", "(12)", "(123)", "(1234)", "(11)", "(5)"])),
+    st.builds("decorate {} = matrix {}".format, _REFS, st.lists(_SCALARS, min_size=8, max_size=10).map(" ".join)),
+)
+FUZZED_LINES = st.one_of(
+    st.text(max_size=40),
+    st.lists(_TOKENS, min_size=1, max_size=12).map(" ".join),
+    _ARC_LINES,
+    _DECORATE_LINES,
+    st.builds("{} {}".format, st.sampled_from(["circle", "hopf"]), _REFS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=FUZZED_LINES)
+def test_appended_line_parses_or_is_rejected_with_exit_two(line):
+    text = COMMUTING_TEXT + line + "\n"
+    try:
+        doc = parse(text)
+    except SldParseError:
+        doc = None
+    if doc is not None:
+        try:
+            doc.diagram()
+        except DiagramError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.sld"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", str(path)])
+    assert code in (0, 1, 2)
+    if doc is None:
+        assert code == 2
 
 
 class TestSerialize:
