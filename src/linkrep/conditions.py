@@ -10,9 +10,9 @@ provides an independent route to the relator check.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .diagram import (
     ArcBand,
@@ -33,9 +33,17 @@ class DecorationError(Exception):
 @dataclass(frozen=True)
 class Decoration:
     """Total map node id -> rotation.  Both circles of a Hopf pair share
-    their node's element."""
+    their node's element.  Lookups go through a dict index that is built
+    once and takes no part in comparison."""
 
     mapping: Tuple[Tuple[str, RotationElement], ...]
+    _index: Dict[str, RotationElement] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: Dict[str, RotationElement] = {}
+        for k, v in self.mapping:
+            index.setdefault(k, v)  # the first pair of a node wins
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def of(d: Dict[str, RotationElement]) -> "Decoration":
@@ -45,13 +53,13 @@ class Decoration:
         return dict(self.mapping)
 
     def __getitem__(self, node: str) -> RotationElement:
-        for k, v in self.mapping:
-            if k == node:
-                return v
-        raise DecorationError(f"node {node!r} is not decorated")
+        try:
+            return self._index[node]
+        except KeyError:
+            raise DecorationError(f"node {node!r} is not decorated") from None
 
     def __contains__(self, node: str) -> bool:
-        return any(k == node for k, _ in self.mapping)
+        return node in self._index
 
     def of_ref(self, ref: CircleRef) -> RotationElement:
         return self[ref.node]
@@ -190,33 +198,55 @@ def _shortest_arc_path(
     return None
 
 
-def _all_simple_paths(
-    adj: _Adjacency, src: str, dst: str
-) -> Iterator[List[Tuple[ArcBand, int]]]:
-    """Every simple path of (arc, direction) steps from src to dst, depth first."""
-    stack: List[Tuple[ArcBand, int]] = []
-    visited = {src}
+def _simple_path_products(
+    adj: _Adjacency,
+    src: str,
+    dst: str,
+    holonomy: Callable[[ArcBand], RotationElement],
+) -> Iterator[RotationElement]:
+    """The product C(A_1)^(+-1) C(A_2)^(+-1) ... of every simple path of
+    (arc, direction) steps from src to dst, depth first, leftmost factor
+    first; arcs traversed against orientation invert.
 
-    def walk(cur: str):
-        if cur == dst:
-            yield list(stack)
-            return
-        for a, direction in adj.get(cur, []):
-            nxt = a.end.circle_id if direction == 1 else a.start.circle_id
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            stack.append((a, direction))
-            yield from walk(nxt)
-            stack.pop()
-            visited.discard(nxt)
-
-    return walk(src)
-
-
-def _path_product(path: List[Tuple[ArcBand, int]], dec: Decoration) -> RotationElement:
-    """Ordered product of C(A_i)^(+-1); arcs traversed against orientation invert."""
-    return _signed_product((holonomy_word(a, dec), direction) for a, direction in path)
+    Products fold along the walk: a prefix shared with the previous path is
+    not multiplied again, and prefixes of no path to dst are not multiplied.
+    The walk keeps its own stack, so paths may be longer than the
+    interpreter's recursion limit.
+    """
+    if src == dst:
+        yield RotationElement.identity()
+        return
+    steps: List[Tuple[ArcBand, int]] = []
+    folded: List[RotationElement] = []  # folded[i]: product of steps[: i + 1]
+    reached: List[str] = []  # reached[i]: the circle steps[i] leads to
+    seen = {src}
+    pending = [iter(adj.get(src, []))]  # one adjacency iterator per circle
+    while pending:
+        step = next(pending[-1], None)
+        if step is None:
+            pending.pop()
+            if steps:
+                steps.pop()
+                del folded[len(steps) :]
+                seen.discard(reached.pop())
+            continue
+        a, direction = step
+        nxt = a.end.circle_id if direction == 1 else a.start.circle_id
+        if nxt in seen:
+            continue
+        steps.append(step)
+        if nxt != dst:
+            reached.append(nxt)
+            seen.add(nxt)
+            pending.append(iter(adj.get(nxt, [])))
+            continue
+        for i in range(len(folded), len(steps)):
+            a, direction = steps[i]
+            f = holonomy(a) if direction == 1 else holonomy(a).inverse()
+            folded.append(folded[-1] * f if folded else f)
+        yield folded[-1]
+        steps.pop()
+        del folded[len(steps) :]
 
 
 def check_sw(
@@ -226,10 +256,19 @@ def check_sw(
     product P from member a to member b avoids {I, g}.  P commuting with g is
     asserted and any violation surfaced as an internal inconsistency.  With
     exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
-    checked for a verdict differing from the shortest path's."""
+    checked for a verdict differing from the shortest path's.  Each arc's
+    holonomy is computed at most once per call."""
     ensure_total(d, dec)
     identity = RotationElement.identity()
     adj = _adjacency(d)
+    holonomies: Dict[str, RotationElement] = {}
+
+    def holonomy(a: ArcBand) -> RotationElement:
+        c = holonomies.get(a.id)
+        if c is None:
+            c = holonomies[a.id] = holonomy_word(a, dec)
+        return c
+
     diagnostics: List[str] = []
     passed = True
     for h in d.hopfs:
@@ -243,7 +282,8 @@ def check_sw(
             raise DiagramError(
                 f"hopf {h}: no arc path between members (selfint precondition)"
             )
-        p = _path_product(path, dec)
+        # leftmost factor first, as in _simple_path_products
+        p = _signed_product((holonomy(a), direction) for a, direction in path)
         verdict = p != identity and p != g
         if not verdict:
             diagnostics.append(f"hopf {h}: path product lies in {{I, g}}")
@@ -253,18 +293,15 @@ def check_sw(
                 f"hopf {h}: internal inconsistency: path product does not commute with g"
             )
         if exhaustive_paths:
-            paths = list(
-                islice(_all_simple_paths(adj, f"{h}.a", f"{h}.b"), SIMPLE_PATH_LIMIT + 1)
-            )
+            products = _simple_path_products(adj, f"{h}.a", f"{h}.b", holonomy)
             verdicts = set()
-            for other in paths[:SIMPLE_PATH_LIMIT]:
-                q = _path_product(other, dec)
+            for q in islice(products, SIMPLE_PATH_LIMIT):
                 verdicts.add(q != identity and q != g)
             if len(verdicts) > 1:
                 diagnostics.append(
                     f"hopf {h}: path-dependent verdict across simple paths"
                 )
-            if len(paths) > SIMPLE_PATH_LIMIT:
+            if next(products, None) is not None:
                 diagnostics.append(
                     f"hopf {h}: only the first {SIMPLE_PATH_LIMIT} simple paths "
                     "were examined"

@@ -1,8 +1,10 @@
 """Exact arithmetic over Q(sqrt(5)): scalars, 3-vectors, 3x3 matrices and unsigned axes.
 
-Every quantity in the package bottoms out here.  Scalars are pairs of reduced
-rationals (a, b) standing for a + b*sqrt(5); equality, ordering and all field
-operations are decidable and exact.  No floating point anywhere.
+Every quantity in the package bottoms out here.  A scalar is three ints
+(p, q, d) in lowest terms standing for (p + q*sqrt(5)) / d; equality, ordering
+and all field operations are decidable and exact, and a 3x3 matrix product
+runs on these ints without building intermediate scalars.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -10,23 +12,45 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class ExactScalar:
-    """An element a + b*sqrt(5) of Q(sqrt(5)) with reduced rational parts."""
+    """An element (p + q*sqrt(5)) / d of Q(sqrt(5)).
 
-    a: Fraction
-    b: Fraction
+    Held as three ints in lowest terms: d > 0 and gcd(p, q, d) = 1.  The
+    form is canonical, so equal values have equal fields.  Instances are
+    immutable; the rational parts a = p/d and b = q/d are `Fraction`
+    properties.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.a, Fraction):
-            object.__setattr__(self, "a", Fraction(self.a))
-        if not isinstance(self.b, Fraction):
-            object.__setattr__(self, "b", Fraction(self.b))
+    __slots__ = ("p", "q", "d")
+
+    def __init__(self, a: RationalLike, b: RationalLike):
+        a, b = Fraction(a), Fraction(b)
+        # with reduced a and b, the lcm of their denominators leaves
+        # gcd(p, q, d) = 1
+        d = lcm(a.denominator, b.denominator)
+        _set_p(self, a.numerator * (d // a.denominator))
+        _set_q(self, b.numerator * (d // b.denominator))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactScalar is immutable")
+
+    def __reduce__(self):
+        return (_reduced, (self.p, self.q, self.d))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     # --- constructors -------------------------------------------------
 
@@ -34,85 +58,131 @@ class ExactScalar:
     def of(a: "RationalLike | ExactScalar", b: RationalLike = 0) -> "ExactScalar":
         if isinstance(a, ExactScalar):
             return a
-        return ExactScalar(Fraction(a), Fraction(b))
+        if type(a) is int and type(b) is int:
+            return _fields(a, b, 1)
+        return ExactScalar(a, b)
 
     @staticmethod
     def sqrt5() -> "ExactScalar":
-        return ExactScalar(Fraction(0), Fraction(1))
+        return _fields(0, 1, 1)
 
     @staticmethod
     def golden_ratio() -> "ExactScalar":
         """(1 + sqrt(5)) / 2, the generator used by the icosahedral preset."""
-        return ExactScalar(Fraction(1, 2), Fraction(1, 2))
+        return _fields(1, 1, 2)
 
     # --- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def sign(self) -> int:
-        """Exact sign: sqrt(5) is irrational, so a + b*sqrt(5) = 0 iff a = b = 0."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with 5 b^2
-        lhs = self.a * self.a
-        rhs = 5 * self.b * self.b
-        if self.a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        """Exact sign: sqrt(5) is irrational, so p + q*sqrt(5) = 0 iff p = q = 0."""
+        return _sign(self.p, self.q)
 
     # --- arithmetic ---------------------------------------------------
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.d))
+
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(self.a + other.a, self.b + other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.p + other.p, self.q + other.q, d)
+        return _reduced(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(self.a - other.a, self.b - other.b)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.p - other.p, self.q - other.q, d)
+        return _reduced(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.a, -self.b)
+        return _fields(-self.p, -self.q, self.d)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        p, q, r, s = self.p, self.q, other.p, other.q
+        return _reduced(p * r + 5 * q * s, p * s + q * r, self.d * other.d)
 
     def inverse(self) -> "ExactScalar":
-        norm = self.a * self.a - 5 * self.b * self.b
+        """d / (p + q*sqrt(5)) = d (p - q*sqrt(5)) / (p^2 - 5 q^2)."""
+        p, q = self.p, self.q
+        norm = p * p - 5 * q * q
         if norm == 0:
             # the field norm vanishes only at zero
             raise ZeroDivisionError("division by zero in Q(sqrt(5))")
-        return ExactScalar(self.a / norm, -self.b / norm)
+        if norm < 0:
+            return _reduced(-self.d * p, self.d * q, -norm)
+        return _reduced(self.d * p, -self.d * q, norm)
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
         return self * other.inverse()
 
     # --- total order --------------------------------------------------
 
+    def _cmp(self, other: "ExactScalar") -> int:
+        """The sign of self - other; both denominators are positive."""
+        d, e = self.d, other.d
+        return _sign(self.p * e - other.p * d, self.q * e - other.q * d)
+
     def __lt__(self, other: "ExactScalar") -> bool:
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other: "ExactScalar") -> bool:
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: "ExactScalar") -> bool:
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: "ExactScalar") -> bool:
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         return f"ExactScalar({format_scalar(self)!r})"
+
+
+# the slot setters, past the immutability guard
+_set_p = ExactScalar.p.__set__
+_set_q = ExactScalar.q.__set__
+_set_d = ExactScalar.d.__set__
+
+
+def _fields(p: int, q: int, d: int) -> ExactScalar:
+    """The scalar with fields already in lowest terms, d > 0."""
+    x = object.__new__(ExactScalar)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> ExactScalar:
+    """(p + q*sqrt(5)) / d in lowest terms, for d > 0."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+    return _fields(p, q, d)
+
+
+def _sign(p: int, q: int) -> int:
+    """The sign of p + q*sqrt(5): for opposite signs, compare p^2 with 5 q^2
+    (never equal, sqrt(5) being irrational)."""
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
+    if sp == sq or sq == 0:
+        return sp
+    if sp == 0:
+        return sq
+    return sp if p * p > 5 * q * q else sq
 
 
 ZERO = ExactScalar.of(0)
@@ -219,19 +289,39 @@ class Matrix3:
 
     @staticmethod
     def identity() -> "Matrix3":
-        return Matrix3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        return _IDENTITY
 
     def __mul__(self, other: "Matrix3") -> "Matrix3":
-        a, b = self.rows, other.rows
-        return Matrix3._new(
-            tuple(
-                tuple(
-                    a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
-                    for j in range(3)
-                )
-                for i in range(3)
-            )
-        )
+        """Integer kernel: each entry accumulates its three products over a
+        common denominator, skipping zero factors, and is reduced once."""
+        cols = tuple(zip(*other.rows))
+        rows = []
+        for row in self.rows:
+            out = []
+            for col in cols:
+                num_p = num_q = 0
+                den = 1
+                for x, y in zip(row, col):
+                    p, q, r, s = x.p, x.q, y.p, y.q
+                    if not (p or q) or not (r or s):
+                        continue
+                    tp = p * r + 5 * q * s
+                    tq = p * s + q * r
+                    td = x.d * y.d
+                    if td == den:
+                        num_p += tp
+                        num_q += tq
+                    elif den % td == 0:
+                        k = den // td
+                        num_p += tp * k
+                        num_q += tq * k
+                    else:
+                        num_p = num_p * td + tp * den
+                        num_q = num_q * td + tq * den
+                        den *= td
+                out.append(_reduced(num_p, num_q, den))
+            rows.append(tuple(out))
+        return Matrix3._new(tuple(rows))
 
     def __add__(self, other: "Matrix3") -> "Matrix3":
         return Matrix3._new(
@@ -272,6 +362,9 @@ class Matrix3:
         return Vector3(self.rows[0][j], self.rows[1][j], self.rows[2][j])
 
 
+_IDENTITY = Matrix3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 def outer(u: Vector3, v: Vector3) -> Matrix3:
     uu, vv = u.components(), v.components()
     return Matrix3(tuple(tuple(uu[i] * vv[j] for j in range(3)) for i in range(3)))
@@ -287,8 +380,6 @@ def _canonicalize_direction(v: Vector3) -> Vector3:
     w = v.scale(first.inverse())
     if all(c.is_rational() for c in w.components()):
         fracs = [c.a for c in w.components()]
-        from math import gcd, lcm
-
         denom = lcm(*(f.denominator for f in fracs))
         ints = [f * denom for f in fracs]
         g = gcd(*(int(i) for i in ints))

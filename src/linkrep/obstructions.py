@@ -7,9 +7,11 @@ mod-4 divisibility obstructions coming from the Pontryagin square.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 #: energies at which the moduli space is compact regardless of the metric
@@ -51,13 +53,79 @@ def _splitting_exists(b2: int, c2: int) -> bool:
     if b2 >= 3:
         return c2 % 2 == 0
     if b2 == 2:
-        n = 2 * c2 + 1
-        return any(_is_square(n - a * a) for a in range(isqrt(n) + 1))
+        return _sum_of_two_squares(2 * c2 + 1)
     return _is_square(4 * c2 + 1)
 
 
 def _is_square(n: int) -> bool:
     return isqrt(n) ** 2 == n
+
+
+def _sum_of_two_squares(n: int) -> bool:
+    """Fermat: n >= 1 is a sum of two squares iff every prime p = 3 (mod 4)
+    divides n to an even power."""
+    if n % 4 == 3:  # squares are 0 or 1 mod 4
+        return False
+    exponents = Counter(_prime_factors(n))
+    return all(e % 2 == 0 for p, e in exponents.items() if p % 4 == 3)
+
+
+#: Miller-Rabin with these bases is exact below 3.3e24 (Sorenson & Webster,
+#: Math. Comp. 2017); above that it is a strong probable-prime test
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _prime_factors(n: int) -> List[int]:
+    """The prime factors of n >= 1 with multiplicity, unordered: trial
+    division by the Miller-Rabin bases, then Pollard rho."""
+    out = []
+    for p in _MR_BASES:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            out.append(m)
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES, for n > 1 with no factor among them."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of the odd composite n (Pollard rho, Floyd cycle
+    finding); x -> x^2 + c for c = 1, 2, ... until one splits n."""
+    for c in count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+        if g != n:
+            return g
 
 
 def bundle_profile(b1: int, b2: int, c2: int) -> BundleProfile:

@@ -41,7 +41,7 @@ class RotationElement:
 
     @staticmethod
     def identity() -> "RotationElement":
-        return RotationElement._new(Matrix3.identity())
+        return _IDENTITY
 
     @staticmethod
     def of(entries) -> "RotationElement":
@@ -62,8 +62,14 @@ class RotationElement:
         return self.m.apply(v)
 
     def sort_key(self) -> tuple:
-        """Deterministic total order on elements (row-major entry order)."""
-        return tuple((e.a, e.b) for row in self.m.rows for e in row)
+        """Deterministic total order on elements: the rational parts (a, b)
+        of the entries in row-major order, as ints where d = 1."""
+        return tuple(
+            (e.p, e.q) if e.d == 1 else (e.a, e.b) for row in self.m.rows for e in row
+        )
+
+
+_IDENTITY = RotationElement._new(Matrix3.identity())
 
 
 def conjugate(g: RotationElement, h: RotationElement) -> RotationElement:

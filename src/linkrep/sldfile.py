@@ -16,7 +16,6 @@ preserved as statements.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -169,6 +168,19 @@ def _parse_decorate(tokens: List[str], lineno: int) -> DecorateStmt:
     raise SldParseError(lineno, f"unknown element kind {kind!r}")
 
 
+def _tokenize(line: str, lineno: int) -> List[str]:
+    """Whitespace-separated tokens.  The format's one quoting is a token
+    wholly inside double quotes (a perm cycle), which loses its quotes; any
+    other double quote is an error."""
+    tokens = line.split()
+    for i, tok in enumerate(tokens):
+        if '"' in tok:
+            if len(tok) < 2 or tok[0] != '"' or tok[-1] != '"' or '"' in tok[1:-1]:
+                raise SldParseError(lineno, f"unbalanced quote in {tok!r}")
+            tokens[i] = tok[1:-1]
+    return tokens
+
+
 def parse(text: str) -> SldDocument:
     """The document; SldParseError with the line number on any malformed line."""
     statements: List[Statement] = []
@@ -182,10 +194,7 @@ def parse(text: str) -> SldDocument:
         if line.startswith("#"):
             statements.append(CommentStmt(line[1:].strip()))
             continue
-        try:
-            tokens = shlex.split(line)
-        except ValueError as exc:
-            raise SldParseError(lineno, f"tokenization failed: {exc}")
+        tokens = _tokenize(line, lineno)
         keyword = tokens[0]
         try:
             if keyword == "group":

@@ -1,4 +1,10 @@
+import io
+import json
 import random
+import sys
+import time
+from contextlib import redirect_stdout
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +28,8 @@ from linkrep.conditions import (
 )
 from linkrep.diagram import ArcBand, CircleRef, DiagramError, SingularLinkDiagram
 from linkrep.rotation import RotationElement, conjugate, octahedral_group, rot
+
+from linkrep.sldfile import parse
 
 from conftest import random_decoration, random_diagram, ref1_decoration, ref1_diagram
 
@@ -315,6 +323,163 @@ class TestSimplePathLimit:
         monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 1)
         d, dec = self.parallel(3)
         assert check_sw(d, dec).diagnostics == ()
+
+
+def doubled_chain(links: int) -> str:
+    """A Hopf pair H whose members are joined through `links` doubled links
+    H.a = C0, C1, ..., C(links) = H.b: 2**links simple member paths.  Each
+    link has an arc with the empty word and one crossing the link's first
+    circle and H.b; H is (12), every C is (34)."""
+    ends = ["H.a"] + [f"C{i}" for i in range(1, links)] + ["H.b"]
+    lines = ["group octahedral", "hopf H"] + [f"circle {c}" for c in ends[1:-1]]
+    slot = dict.fromkeys(ends, 0)
+    for i, (u, v) in enumerate(zip(ends, ends[1:])):
+        for tag, word in (("a", ""), ("b", f" {u}:+ H.b:+")):
+            lines.append(f"arc L{i}{tag} from {u} slot {slot[u]} to {v} slot {slot[v]} word{word}")
+            slot[u] += 1
+            slot[v] += 1
+    lines.append('decorate H = perm "(12)"')
+    lines += [f'decorate {c} = perm "(34)"' for c in ends[1:-1]]
+    return "".join(line + "\n" for line in lines)
+
+
+def _reference_path_products(d, dec, src, dst):
+    """Reference: every simple member path enumerated depth first, with its
+    product folded from the first factor on its own."""
+    adj = linkrep.conditions._adjacency(d)
+    stack, visited = [], {src}
+
+    def walk(cur):
+        if cur == dst:
+            yield linkrep.conditions._signed_product(
+                (holonomy_word(a, dec), direction) for a, direction in stack
+            )
+            return
+        for a, direction in adj.get(cur, []):
+            nxt = a.end.circle_id if direction == 1 else a.start.circle_id
+            if nxt not in visited:
+                visited.add(nxt)
+                stack.append((a, direction))
+                yield from walk(nxt)
+                stack.pop()
+                visited.discard(nxt)
+
+    return list(walk(src))
+
+
+class TestExhaustivePaths:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_products_equal_the_per_path_refold(self, seed):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        dec = random_decoration(d, rng)
+        adj = linkrep.conditions._adjacency(d)
+        for h in d.hopfs:
+            src, dst = f"{h}.a", f"{h}.b"
+            got = linkrep.conditions._simple_path_products(
+                adj, src, dst, lambda a: holonomy_word(a, dec)
+            )
+            assert list(islice(got, 500)) == _reference_path_products(d, dec, src, dst)[:500]
+
+    def test_chain_products_fold_along_the_walk(self, monkeypatch):
+        links = 4
+        doc = parse(doubled_chain(links))
+        d, dec = doc.diagram(), doc.decoration()
+        holonomies = []
+        real_holonomy = linkrep.conditions.holonomy_word
+        monkeypatch.setattr(
+            linkrep.conditions,
+            "holonomy_word",
+            lambda a, dec: holonomies.append(a.id) or real_holonomy(a, dec),
+        )
+        products = []
+        real_mul = RotationElement.__mul__
+        monkeypatch.setattr(
+            RotationElement, "__mul__", lambda g, h: products.append(1) or real_mul(g, h)
+        )
+        res = check_sw(d, dec, exhaustive_paths=True)
+        assert "hopf H: path-dependent verdict across simple paths" in res.diagnostics
+        assert len(holonomies) == len(set(holonomies)) <= 2 * links
+        # one product per two-letter word, links - 1 for the shortest path,
+        # 2 for the commutator, and one per prefix of length >= 2 of the
+        # 2**links member paths: 4 + 3 + 2 + (4 + 8 + 16)
+        assert len(products) == links + (links - 1) + 2 + (2 ** (links + 1) - 4)
+
+    def test_member_path_longer_than_the_recursion_limit(self, monkeypatch):
+        monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 2)
+        doc = parse(doubled_chain(sys.getrecursionlimit() + 100))
+        res = check_sw(doc.diagram(), doc.decoration(), exhaustive_paths=True)
+        assert res.diagnostics == (
+            "hopf H: path product lies in {I, g}",
+            "hopf H: path-dependent verdict across simple paths",
+            "hopf H: only the first 2 simple paths were examined",
+        )
+
+    def test_doubled_chain_report_is_prompt(self, tmp_path):
+        from linkrep.cli import main
+
+        path = tmp_path / "chain14.sld"
+        path.write_text(doubled_chain(14))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out):
+            code = main(["check", "--all-sw-paths", str(path)])
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        # the report of the per-path refold (10001 paths walked, ~100 s)
+        assert json.loads(out.getvalue()) == {
+            "wellformed": True,
+            "b1": 1,
+            "b2": 1,
+            "components": [["H.a", "H.b"] + [f"C{i}" for i in range(1, 14)]],
+            "checks": {
+                "genus0": {"passed": True, "diagnostics": []},
+                "selfint": {"passed": True, "diagnostics": []},
+                "relators": {
+                    "passed": False,
+                    "diagnostics": [
+                        f"arc {a}: end decoration is not C(A) g C(A)^-1"
+                        for a in ("L0a", "L0b", "L13a", "L13b")
+                    ],
+                },
+                "sw": {
+                    "passed": False,
+                    "diagnostics": [
+                        "hopf H: path product lies in {I, g}",
+                        "hopf H: path-dependent verdict across simple paths",
+                        "hopf H: only the first 10000 simple paths were examined",
+                    ],
+                },
+            },
+            "obstructions": {"psq": 3, "b2_mod4": 1, "verdict": False},
+            "search": None,
+            "diagnostics": [],
+        }
+
+
+class TestDecorationIndex:
+    def test_index_takes_no_part_in_comparison(self):
+        a = Decoration.of({"x": rot("(12)"), "y": rot("(34)")})
+        b = Decoration((("x", rot("(12)")), ("y", rot("(34)"))))
+        assert a == b and hash(a) == hash(b)
+        assert "_index" not in repr(a)
+        assert a["y"] == rot("(34)") and "x" in a and "z" not in a
+        with pytest.raises(DecorationError, match="'z' is not decorated"):
+            a["z"]
+
+    def test_first_pair_of_a_node_wins(self):
+        dec = Decoration((("x", rot("(12)")), ("x", rot("(34)"))))
+        assert dec["x"] == rot("(12)")
+
+    def test_totality_check_is_linear(self):
+        n = 20000
+        names = tuple(f"c{i}" for i in range(n))
+        d = SingularLinkDiagram(circles=names)
+        dec = Decoration.of(dict.fromkeys(names, RotationElement.identity()))
+        start = time.perf_counter()
+        ensure_total(d, dec)
+        assert time.perf_counter() - start < 1.0
 
 
 def _passed(d, dec):

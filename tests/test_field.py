@@ -1,9 +1,14 @@
+import copy
+import pickle
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkrep.field
 from linkrep.field import (
     AxisLine,
     ExactScalar,
@@ -15,6 +20,7 @@ from linkrep.field import (
     is_perpendicular,
     parse_scalar,
 )
+from linkrep.rotation import RotationElement, icosahedral_group, octahedral_group
 
 rationals = st.fractions(
     max_denominator=12,
@@ -27,6 +33,57 @@ nonzero_scalars = scalars.filter(lambda x: not x.is_zero())
 
 def q(a, b=0):
     return ExactScalar.of(Fraction(a), Fraction(b))
+
+
+@dataclass(frozen=True)
+class FractionPair:
+    """Reference arithmetic: a + b*sqrt(5) as a pair of Fractions, the
+    representation ExactScalar had before its integer core."""
+
+    a: Fraction
+    b: Fraction
+
+    @staticmethod
+    def of(x: ExactScalar) -> "FractionPair":
+        return FractionPair(x.a, x.b)
+
+    def __add__(self, o):
+        return FractionPair(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return FractionPair(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return FractionPair(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        norm = self.a * self.a - 5 * self.b * self.b
+        return FractionPair(self.a / norm, -self.b / norm)
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0 or (a > 0) == (b > 0):
+            return 1 if b > 0 else -1
+        # opposite signs: the larger of a^2 and 5 b^2 decides
+        return (1 if a > 0 else -1) if a * a > 5 * b * b else (1 if b > 0 else -1)
+
+
+#: arbitrary denominators, and the lattice 1/4 (Z + Z sqrt(5)) holding the
+#: entries of the icosahedral preset
+wide_rationals = st.fractions(max_denominator=10**6, min_value=-(10**6), max_value=10**6)
+wide_scalars = st.builds(ExactScalar, wide_rationals, wide_rationals)
+quarter_scalars = st.builds(
+    lambda p, r: ExactScalar(Fraction(p, 4), Fraction(r, 4)),
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+)
+any_scalars = st.one_of(scalars, wide_scalars, quarter_scalars)
+
+
+def canonical(x: ExactScalar) -> bool:
+    return x.d > 0 and gcd(x.p, x.q, x.d) == 1
 
 
 class TestScalarOps:
@@ -62,9 +119,105 @@ class TestScalarOps:
         assert (x < y) == ((y - x).sign() > 0)
         assert not (x < y and y < x)
 
-    @given(scalars)
+    @given(any_scalars)
     def test_scalar_text_round_trip(self, x):
         assert parse_scalar(format_scalar(x)) == x
+
+
+class TestIntegerCore:
+    @given(any_scalars, any_scalars)
+    def test_ring_operations_match_the_fraction_pair_reference(self, x, y):
+        rx, ry = FractionPair.of(x), FractionPair.of(y)
+        for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry)):
+            assert canonical(got)
+            assert FractionPair.of(got) == want
+        assert FractionPair.of(-x) == FractionPair(-rx.a, -rx.b)
+
+    @given(any_scalars.filter(lambda x: not x.is_zero()))
+    def test_inverse_matches_the_reference(self, x):
+        inv = x.inverse()
+        assert canonical(inv)
+        assert FractionPair.of(inv) == FractionPair.of(x).inverse()
+
+    @given(any_scalars, any_scalars)
+    def test_sign_and_order_match_the_reference(self, x, y):
+        assert x.sign() == FractionPair.of(x).sign()
+        diff = (FractionPair.of(x) - FractionPair.of(y)).sign()
+        assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+
+    @given(any_scalars)
+    def test_rational_parts(self, x):
+        assert (x.a, x.b) == (Fraction(x.p, x.d), Fraction(x.q, x.d))
+        assert ExactScalar(x.a, x.b) == x
+
+    @given(any_scalars, wide_rationals.filter(lambda f: f != 0))
+    def test_equal_values_have_equal_fields(self, x, k):
+        # the same value reached through a detour: scale by k, then by 1/k
+        y = x * ExactScalar.of(k) * ExactScalar.of(1 / k)
+        assert canonical(x) and canonical(y)
+        assert (y.p, y.q, y.d) == (x.p, x.q, x.d)
+        assert hash(y) == hash(x)
+
+    def test_zero_is_canonical(self):
+        assert (q(0).p, q(0).q, q(0).d) == (0, 0, 1)
+        assert q(3, 5) - q(3, 5) == q(0)
+
+    def test_immutable_and_picklable(self):
+        x = q(Fraction(1, 4), Fraction(-3, 4))
+        with pytest.raises(AttributeError):
+            x.p = 5
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert copy.deepcopy(x) == x
+
+
+def _matrices(entries):
+    return st.lists(entries, min_size=9, max_size=9).map(
+        lambda e: Matrix3((tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])))
+    )
+
+
+class TestMatrixKernel:
+    @settings(max_examples=40)
+    @given(_matrices(any_scalars), _matrices(any_scalars))
+    def test_product_matches_the_entrywise_formula(self, m, n):
+        a, b = m.rows, n.rows
+        want = tuple(
+            tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3))
+            for i in range(3)
+        )
+        assert (m * n).rows == want
+        assert all(canonical(e) for row in (m * n).rows for e in row)
+
+    @settings(max_examples=40)
+    @given(_matrices(st.one_of(st.just(q(0)), quarter_scalars)), _matrices(quarter_scalars))
+    def test_zero_factors_are_skipped_exactly(self, m, n):
+        assert (m * n).rows == tuple(
+            tuple(sum((m.rows[i][k] * n.rows[k][j] for k in range(3)), q(0)) for j in range(3))
+            for i in range(3)
+        )
+
+    def test_preset_products_build_no_fraction(self, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        octahedral = octahedral_group().elements
+        icosahedral = icosahedral_group().elements
+        monkeypatch.setattr(linkrep.field, "Fraction", CountingFraction)
+        for group in (octahedral, icosahedral):
+            for g in group[:12]:
+                for h in group[-12:]:
+                    g * h
+        assert built == []
+
+    def test_identity_is_built_once(self):
+        assert Matrix3.identity() is Matrix3.identity()
+        assert RotationElement.identity() is RotationElement.identity()
+        assert RotationElement.identity().m is Matrix3.identity()
+        assert Matrix3.identity() == Matrix3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 class TestMatrixOps:

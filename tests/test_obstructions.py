@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from linkrep.obstructions import (
     bundle_profile,
     connected_sum_obstruction,
     divisibility_obstruction,
+    _prime_factors,
     _splitting_exists,
     pontryagin_square_diag,
 )
@@ -27,6 +29,15 @@ def min_terms_dp(limit: int) -> list:
         best = min((min_terms[s - c] for c in coins if c <= s), default=limit)
         min_terms[s] = min(best + 1, limit)
     return min_terms
+
+
+def two_squares_scan(c2: int) -> bool:
+    """Reference for b2 = 2: is 2 c2 + 1 a sum of two squares?  An O(sqrt(c2))
+    scan over the first square."""
+    if c2 < 0:
+        return False
+    n = 2 * c2 + 1
+    return any(isqrt(n - a * a) ** 2 == n - a * a for a in range(isqrt(n) + 1))
 
 
 class TestPontryaginSquare:
@@ -175,6 +186,38 @@ class TestSplittingClosedForm:
             for c2 in range(-3, limit):
                 expected = c2 >= 0 and min_terms[c2] <= b2
                 assert _splitting_exists(b2, c2) == expected, (b2, c2)
+
+    def test_two_squares_matches_the_scan(self):
+        for c2 in range(-3, 5000):
+            assert _splitting_exists(2, c2) == two_squares_scan(c2), c2
+
+    @given(st.integers(1, 10**10))
+    def test_prime_factors_multiply_back_to_primes(self, n):
+        factors = _prime_factors(n)
+        assert prod(factors) == n
+        for p in factors:
+            assert p > 1 and all(p % k for k in range(2, isqrt(p) + 1))
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (3**2 * 7**3 * 11, [3, 3, 7, 7, 7, 11]),
+            (999983 * 1000003, [999983, 1000003]),  # two six-digit primes
+            (2147483647**2, [2147483647, 2147483647]),  # a prime square
+            (3825123056546413051, [149491, 747451, 34233211]),  # strong pseudoprime to 2..23
+        ],
+    )
+    def test_prime_factors_of_hard_cases(self, n, factors):
+        assert sorted(_prime_factors(n)) == factors
+
+    def test_b2_two_with_large_c2_is_prompt(self, capsys):
+        from linkrep.cli import main
+
+        start = time.perf_counter()
+        assert main(["bundle", "--b1", "0", "--b2", "2", "--c2", "100000000000000"]) == 0
+        assert time.perf_counter() - start < 1.0
+        # 2 c2 + 1 = 3 * 17 * 1873 * 41161 * 50867: 3 divides it to an odd power
+        assert '"irreducible_locked": true' in capsys.readouterr().out
 
     def test_large_c2_is_prompt(self, capsys):
         from linkrep.cli import main

@@ -237,6 +237,15 @@ class TestGroupTable:
         assert keys == sorted(keys)
         assert all(t.index[k] == i for i, k in enumerate(keys))
 
+    def test_sort_key_is_the_rational_parts(self):
+        # integral entries give int pairs, which compare and hash as the
+        # Fraction pairs they stand for
+        for group in (octahedral_group(), icosahedral_group()):
+            for g in group:
+                parts = tuple((e.a, e.b) for row in g.m.rows for e in row)
+                assert g.sort_key() == parts
+                assert hash(g.sort_key()) == hash(parts)
+
     def test_generated_group_table_does_not_depend_on_generators(self):
         a = generate_group([rot("(12)"), rot("(1234)")])
         b = generate_group([rot("(1234)"), rot("(234)"), rot("(12)")])

@@ -1,11 +1,12 @@
+import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linkrep.search
-from linkrep.conditions import CheckResult, Decoration, check_sw, run_all_checks
+from linkrep.conditions import CheckResult, Decoration, check_genus0, check_sw, run_all_checks
 from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram
 from linkrep.field import Matrix3
 from linkrep.rotation import (
@@ -28,7 +29,7 @@ from linkrep.search import (
     verify_onepoint_geometry,
 )
 
-from conftest import ref1_decoration, ref1_diagram
+from conftest import random_diagram, ref1_decoration, ref1_diagram
 
 
 def arc(aid, start, s_slot, end, e_slot, word=()):
@@ -112,6 +113,44 @@ class TestEnumerate:
             ref1_diagram(), SearchOptions(group=tetrahedral_group())
         )
         assert sols == []
+
+
+def _search_space(d, group) -> int:
+    """|G| per group of nodes joined by arcs, the involution count for one
+    holding a Hopf node: a rough size of the backtracking tree."""
+    parent = {n: n for n in d.hopfs + d.circles}
+
+    def find(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for a in d.arcs:
+        parent[find(a.start.node)] = find(a.end.node)
+    size = 1
+    for root in {find(n) for n in parent}:
+        hopf = any(find(h) == root for h in d.hopfs)
+        size *= len(group.table.involutions) if hopf else len(group)
+    return size
+
+
+class TestEquivariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        group=st.sampled_from([octahedral_group(), icosahedral_group()]),
+    )
+    def test_raw_solutions_are_closed_under_conjugation(self, seed, group):
+        d = random_diagram(random.Random(seed))
+        assume(check_genus0(d).passed and _search_space(d, group) <= 600)
+        solutions = enumerate_valid_decorations(d, SearchOptions(group, "none"))
+        found = set(solutions)
+        assert len(found) == len(solutions)
+        # a finite set closed under conjugation by the generators is closed
+        # under conjugation by every element of the group they generate
+        assert group.generators
+        for c in group.generators:
+            assert {dec.conjugated(c) for dec in solutions} == found
 
 
 class TestCanonicalClass:

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,11 +19,13 @@ from linkrep.sldfile import (
     DecorateStmt,
     GroupStmt,
     SldParseError,
+    _tokenize,
     parse,
     serialize,
 )
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO = Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
 
 
 def _arc(aid, start, s_slot, end, e_slot, word):
@@ -225,6 +229,57 @@ def test_appended_line_parses_or_is_rejected_with_exit_two(line):
     assert code in (0, 1, 2)
     if doc is None:
         assert code == 2
+
+
+def _statement_lines(text):
+    """The lines parse tokenizes: stripped, neither blank nor comments."""
+    stripped = (raw.strip() for raw in text.splitlines())
+    return [line for line in stripped if line and not line.startswith("#")]
+
+
+def _benchmark_documents():
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import generate
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return [
+        q.text
+        for workload in sorted(generate.WORKLOADS)
+        for seed in (1, 2)
+        for q in generate.build_queries(workload, seed, 1, "out")
+        if q.text is not None
+    ]
+
+
+class TestTokenizer:
+    def test_agrees_with_shlex_on_the_corpus(self):
+        fixtures = [p.read_text() for p in sorted(FIXTURES.glob("*.sld"))]
+        generated = _benchmark_documents()
+        corpus = fixtures + [serialize(parse(t)) for t in fixtures + generated] + generated
+        lines = [line for text in corpus for line in _statement_lines(text)]
+        assert len(lines) > 1000
+        for line in lines:
+            assert _tokenize(line, 1) == shlex.split(line), line
+
+    def test_quoted_token_keeps_inner_text(self):
+        assert _tokenize('decorate h = perm "(12)(34)"', 1)[-1] == "(12)(34)"
+        assert _tokenize('circle ""', 1) == ["circle", ""]
+
+    @pytest.mark.parametrize(
+        "line",
+        ['decorate h = perm "(12)', 'decorate h = perm (12)"', 'decorate h = perm"(12)"',
+         'decorate h = perm "(1"2)"', '"'],
+    )
+    def test_unbalanced_quote_is_a_parse_error(self, line):
+        with pytest.raises(SldParseError, match="unbalanced quote") as exc:
+            parse(f"hopf h\n{line}\n")
+        assert exc.value.line == 2
+
+    def test_single_quotes_and_backslashes_are_literal(self):
+        with pytest.raises(SldParseError, match="malformed cycle notation"):
+            parse("hopf h\ndecorate h = perm '(12)'\n")
+        assert parse("circle a\\b\n").diagram().circles == ("a\\b",)
 
 
 class TestSerialize:
