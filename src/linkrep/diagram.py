@@ -10,6 +10,7 @@ the holonomy calculus in the conditions module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 
@@ -102,6 +103,11 @@ class SingularLinkDiagram:
             return ref.node in self.circles
         return ref.node in self.hopfs
 
+    @cached_property
+    def _partition(self) -> "ComponentPartition":
+        # the diagram is immutable, so its components are found once
+        return _connected_components(self)
+
 
 def validate(d: SingularLinkDiagram) -> List[str]:
     """All structural invariant violations; empty means well-formed."""
@@ -144,15 +150,22 @@ class ComponentPartition:
     """Connected components of the circle graph (vertices circles, edges arcs)."""
 
     blocks: Tuple[Tuple[str, ...], ...]
+    _block: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        block = {cid: b for b in self.blocks for cid in b}
+        object.__setattr__(self, "_block", block)
 
     def block_of(self, circle_id: str) -> Tuple[str, ...]:
-        for block in self.blocks:
-            if circle_id in block:
-                return block
-        raise KeyError(circle_id)
+        return self._block[circle_id]
 
 
 def components(d: SingularLinkDiagram) -> ComponentPartition:
+    """The connected components of d, computed on first use and cached on d."""
+    return d._partition
+
+
+def _connected_components(d: SingularLinkDiagram) -> ComponentPartition:
     ids = d.circle_ids()
     index = {cid: i for i, cid in enumerate(ids)}
     parent = list(range(len(ids)))

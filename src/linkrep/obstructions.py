@@ -47,12 +47,19 @@ def _splitting_exists(b2: int, c2: int) -> bool:
     (Gauss: every n is a sum of three triangular numbers); for b2 = 2, iff
     2 c2 + 1 = ((2l-1)^2 + (2m-1)^2) / 2 is a sum of two squares;
     for b2 = 1, iff 4 c2 + 1 = (2l-1)^2 is a perfect square.
+
+    For b2 = 2 the answer is exact only while 2 c2 + 1 < MR_EXACT_BOUND,
+    where the primality test is proven; a larger c2 is a ValueError.
     """
     if c2 < 0:
         return False
     if b2 >= 3:
         return c2 % 2 == 0
     if b2 == 2:
+        if 2 * c2 + 1 >= MR_EXACT_BOUND:
+            raise ValueError(
+                f"b2 = 2 is decided only for 2*c2 + 1 < {MR_EXACT_BOUND}"
+            )
         return _sum_of_two_squares(2 * c2 + 1)
     return _is_square(4 * c2 + 1)
 
@@ -70,9 +77,10 @@ def _sum_of_two_squares(n: int) -> bool:
     return all(e % 2 == 0 for p, e in exponents.items() if p % 4 == 3)
 
 
-#: Miller-Rabin with these bases is exact below 3.3e24 (Sorenson & Webster,
-#: Math. Comp. 2017); above that it is a strong probable-prime test
+#: Miller-Rabin with these bases is exact below MR_EXACT_BOUND (Sorenson &
+#: Webster, Math. Comp. 2017); above that it is a strong probable-prime test
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
 
 
 def _prime_factors(n: int) -> List[int]:

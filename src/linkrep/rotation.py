@@ -3,7 +3,8 @@
 Provides the rotation element type, conjugation, involution and axis
 extraction, the dictionary between S4 (permuting the four cube diagonals) and
 the 24 cube rotations, and finite groups closed from generators, each with a
-Cayley table built on first use.
+Cayley table built on first use.  The elements a table owns know their index
+in it, so products, inverses and lookups among them are table reads.
 
 Composition convention, used everywhere in the package: (g * h) applies h
 first, then g.  Permutation composition follows the same convention.
@@ -22,9 +23,17 @@ from .field import AxisLine, ExactScalar, Matrix3, Vector3, outer
 
 @dataclass(frozen=True)
 class RotationElement:
-    """An exact special-orthogonal 3x3 matrix."""
+    """An exact special-orthogonal 3x3 matrix.
+
+    An element owned by a GroupTable carries the table and its index there.
+    These are plain attributes, not fields, so they take no part in ==,
+    hash or repr, and pickling or copying drops them.
+    """
 
     m: Matrix3
+
+    _table = None  # the owning GroupTable, set by _close
+    _index = -1
 
     def __post_init__(self):
         if self.m.transpose() * self.m != Matrix3.identity():
@@ -47,11 +56,27 @@ class RotationElement:
     def of(entries) -> "RotationElement":
         return RotationElement(Matrix3.of(entries))
 
+    def __reduce__(self):
+        return (RotationElement._new, (self.m,))
+
     def __mul__(self, other: "RotationElement") -> "RotationElement":
+        t = self._table
+        if t is not None and t is other._table:
+            return t.elements[t.mul[self._index][other._index]]
+        # the identity constant (an empty word's holonomy) is in no table
+        if self is _IDENTITY:
+            return other
+        if other is _IDENTITY:
+            return self
         # special-orthogonal matrices are closed under product
         return RotationElement._new(self.m * other.m)
 
     def inverse(self) -> "RotationElement":
+        t = self._table
+        if t is not None:
+            return t.elements[t.inv[self._index]]
+        if self is _IDENTITY:
+            return self
         # orthogonal, so the transpose inverts
         return RotationElement._new(self.m.transpose())
 
@@ -234,7 +259,7 @@ def perm_to_rotation(p: CubePermutation) -> RotationElement:
 def rotation_to_perm(g: RotationElement) -> Optional[CubePermutation]:
     """Inverse dictionary lookup through the octahedral table; None if g is
     not a cube rotation."""
-    i = octahedral_group().table.index.get(g.sort_key())
+    i = octahedral_group().table.index_of(g)
     return None if i is None else _cube_perms()[i]
 
 
@@ -262,15 +287,23 @@ class GroupTable:
     identity: int
     involutions: tuple  # indices of the pi-rotations, ascending
 
+    def index_of(self, g: RotationElement) -> Optional[int]:
+        """The index of g, or None if g is not in the group: the element's
+        own index when this table owns it, a sort_key lookup otherwise."""
+        if g._table is self:
+            return g._index
+        return self.index.get(g.sort_key())
+
 
 def _close(gens: Sequence[RotationElement]) -> GroupTable:
     """Close a generator set under right multiplication by the generators.
 
     That costs |G| * len(gens) products.  Each new element is reached as
     parent * gens[k]; the rest of the table follows by index from these
-    words, since x * (parent * g_k) = (x * parent) * g_k.
+    words, since x * (parent * g_k) = (x * parent) * g_k.  The table owns
+    the elements it finds, fresh objects that it tags with their index.
     """
-    found = [RotationElement.identity()]
+    found = [RotationElement._new(Matrix3.identity())]
     where = {found[0].sort_key(): 0}
     word = [None]  # (parent, k) per element; the identity has none
     right = []  # right[i][k] = index of found[i] * gens[k]
@@ -296,7 +329,7 @@ def _close(gens: Sequence[RotationElement]) -> GroupTable:
             row[j] = right[row[parent]][k]
         mul[rank[x]] = tuple(rank[row[j]] for j in order)
     e = rank[0]
-    return GroupTable(
+    table = GroupTable(
         elements=tuple(found[j] for j in order),
         index={found[j].sort_key(): r for r, j in enumerate(order)},
         mul=tuple(mul),
@@ -304,6 +337,10 @@ def _close(gens: Sequence[RotationElement]) -> GroupTable:
         identity=e,
         involutions=tuple(i for i, row in enumerate(mul) if row[i] == e != i),
     )
+    for i, g in enumerate(table.elements):
+        object.__setattr__(g, "_table", table)
+        object.__setattr__(g, "_index", i)
+    return table
 
 
 @dataclass(frozen=True)
@@ -325,7 +362,7 @@ class FiniteRotationGroup:
         return iter(self.elements)
 
     def __contains__(self, g: RotationElement) -> bool:
-        return g.sort_key() in self.table.index
+        return self.table.index_of(g) is not None
 
     @cached_property
     def table(self) -> GroupTable:

@@ -4,12 +4,14 @@ Backtracking works on indices into the group's Cayley table (no matrix
 products) and assigns nodes in an order that maximizes forced conjugation
 propagation: an arc whose word mentions only assigned nodes determines one
 endpoint from the other.  Solutions are re-verified by the condition checks
-after the search, so pruning cannot introduce soundness holes.
+after the search, so pruning cannot introduce soundness holes; their
+elements belong to the table, so the checks' products are table reads too.
 
 Solution tuples of pi-rotations are compared up to simultaneous rotation via
 an exact invariant of their axis configuration: the pairwise squared-cosine
 matrix plus the sign pattern of the Gram entries and of all axis triple
-products, minimized over independent per-axis sign flips.
+products, minimized over independent per-axis sign flips.  It is computed
+once per conjugacy orbit in the group.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .field import (
 )
 from .rotation import (
     FiniteRotationGroup,
+    GroupTable,
     RotationElement,
     axis_of_involution,
     is_involution,
@@ -244,23 +247,35 @@ def count_classes(
     hopf_order: Sequence[str],
     opts: SearchOptions,
 ) -> int:
-    """Distinct solution classes under the configured dedup mode."""
+    """Distinct solution classes under the configured dedup mode.
+
+    Both conjugacy modes reduce each tuple to its orbit minimum under
+    conjugation in opts.group (ValueError for an element outside it).
+    so3_canonical then keys one Hopf tuple per orbit: the key is invariant
+    under simultaneous rotation, so conjugates share it.
+    """
     if opts.dedup == "none":
         return len(set(tuple(dec.mapping) for dec in solutions))
-    if opts.dedup == "so3_canonical":
-        keys = {
-            canonical_class([dec[h] for h in hopf_order]) for dec in solutions
-        }
-        return len(keys)
-    # group_conjugacy: whole decorations up to simultaneous conjugation in
-    # the group; index order is sort_key order, so orbit minima are exact
     table = opts.group.table
+    if opts.dedup == "group_conjugacy":
+        # whole decorations up to simultaneous conjugation in the group
+        decorations = [[g for _, g in dec.mapping] for dec in solutions]
+        return len(_orbit_minima(decorations, table))
+    reps = _orbit_minima([[dec[h] for h in hopf_order] for dec in solutions], table)
+    return len({canonical_class([table.elements[i] for i in rep]) for rep in reps})
+
+
+def _orbit_minima(
+    tuples: Sequence[Sequence[RotationElement]], table: GroupTable
+) -> set:
+    """The distinct orbit minima of element tuples under simultaneous
+    conjugation, as index tuples; index order is sort_key order, so the
+    minima are exact."""
     mul, inv = table.mul, table.inv
     reps = set()
-    for dec in solutions:
-        try:
-            idx = [table.index[g.sort_key()] for _, g in dec.mapping]
-        except KeyError:
+    for elements in tuples:
+        idx = [table.index_of(g) for g in elements]
+        if None in idx:
             raise ValueError("decoration has an element outside the group")
         reps.add(
             min(
@@ -268,7 +283,7 @@ def count_classes(
                 for c in range(len(mul))
             )
         )
-    return len(reps)
+    return reps
 
 
 def verify_onepoint_geometry(dec: Decoration) -> bool:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 import pytest
@@ -117,6 +119,33 @@ class TestComponents:
             rng.shuffle(shuffled)
             d2 = SingularLinkDiagram(d.circles, d.hopfs, tuple(shuffled))
             assert components(d) == components(d2)
+
+    def test_block_of_every_circle(self, rng):
+        for _ in range(30):
+            part = components(random_diagram(rng))
+            for block in part.blocks:
+                for cid in block:
+                    assert part.block_of(cid) is block
+            with pytest.raises(KeyError):
+                part.block_of("no-such-circle")
+
+    def test_found_once_per_diagram(self, monkeypatch):
+        from linkrep.cli import main
+
+        calls = []
+        real = linkrep.diagram._connected_components
+        monkeypatch.setattr(
+            linkrep.diagram,
+            "_connected_components",
+            lambda d: calls.append(d) or real(d),
+        )
+        d = ref1_diagram()
+        assert components(d) is components(d)
+        assert len(calls) == 1
+        # a check query: selfint, genus, betti and the report's components
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", str(FIXTURES / "ref1.sld")]) == 0
+        assert len(calls) == 2
 
 
 class TestBetti:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from linkrep.obstructions import (
     COMPACT_ENERGIES,
+    MR_EXACT_BOUND,
     BundleProfile,
     ObstructionReport,
     bundle_profile,
@@ -218,6 +219,31 @@ class TestSplittingClosedForm:
         assert time.perf_counter() - start < 1.0
         # 2 c2 + 1 = 3 * 17 * 1873 * 41161 * 50867: 3 divides it to an odd power
         assert '"irreducible_locked": true' in capsys.readouterr().out
+
+    def test_b2_two_is_bounded_to_the_proven_range(self):
+        c2 = (MR_EXACT_BOUND - 1) // 2  # 2 c2 + 1 is the bound itself
+        with pytest.raises(ValueError, match="decided only"):
+            _splitting_exists(2, c2)
+        with pytest.raises(ValueError):
+            bundle_profile(0, 2, c2)
+        # just below: 2 c2 + 1 = 3 (mod 4) is no sum of two squares
+        assert _splitting_exists(2, c2 - 1) is False
+        # the other term budgets are closed forms without a bound
+        assert _splitting_exists(1, 10**40) is False
+        assert _splitting_exists(3, 10**40) is True
+
+    def test_b2_two_beyond_the_bound_exits_two_promptly(self, capsys):
+        from linkrep.cli import main
+
+        # 2 c2 + 1 = 1000000000000037 * 3000000000000037, which Pollard rho
+        # did not split within 20 s
+        start = time.perf_counter()
+        code = main(
+            ["bundle", "--b1", "0", "--b2", "2", "--c2", "1500000000000074000000000000684"]
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "decided only" in capsys.readouterr().err
 
     def test_large_c2_is_prompt(self, capsys):
         from linkrep.cli import main

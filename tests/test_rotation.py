@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import permutations
 
 import pytest
@@ -22,6 +24,7 @@ from linkrep.rotation import (
     rotation_to_perm,
     tetrahedral_group,
 )
+from linkrep.rotation import _cube_perms
 
 PRESETS = ("tetrahedral", "octahedral", "icosahedral")
 ALL_S4 = [CubePermutation(tuple(p)) for p in permutations((1, 2, 3, 4))]
@@ -275,3 +278,70 @@ class TestGroupTable:
         half = FiniteRotationGroup(octahedral_group().elements[:12], "half")
         with pytest.raises(ValueError, match="closure"):
             half.table
+
+
+class TestTableElements:
+    """Elements a GroupTable owns multiply, invert and look up through it."""
+
+    def test_products_and_inverses_equal_matrix_products(self):
+        for name in PRESETS:
+            t = preset_group(name).table
+            for i, a in enumerate(t.elements):
+                assert a._table is t and a._index == i
+                assert a.inverse() is t.elements[t.inv[i]]
+                assert a.inverse() == RotationElement(a.m.transpose())
+                for b in t.elements:
+                    product = a * b
+                    assert product._table is t
+                    assert product == RotationElement(a.m * b.m)
+
+    def test_mixed_tables_fall_back_to_matrices(self):
+        tet, oct_ = tetrahedral_group(), octahedral_group()
+        # the tetrahedral elements are cube-dictionary (octahedral) objects;
+        # its table owns equal but distinct ones
+        assert tet.table.elements == tet.elements
+        assert all(g._table is oct_.table for g in tet.elements)
+        assert all(g._table is tet.table for g in tet.table.elements)
+        for a in tet.table.elements:
+            for b in oct_.table.elements:
+                for product in (a * b, b * a):
+                    assert product._table is None
+                assert a * b == RotationElement(a.m * b.m)
+                assert b * a == RotationElement(b.m * a.m)
+
+    def test_identity_constant_stays_untagged(self):
+        for name in PRESETS:
+            preset_group(name).table
+        generate_group([rot("(12)"), rot("(1234)")])
+        e = RotationElement.identity()
+        assert e._table is None
+        assert e * rot("(12)") == rot("(12)")
+
+    def test_pickle_and_copy_drop_the_table(self):
+        for group in (octahedral_group(), icosahedral_group()):
+            for g in group.elements[::5]:
+                for twin in (
+                    pickle.loads(pickle.dumps(g)),
+                    copy.deepcopy(g),
+                    copy.copy(g),
+                ):
+                    assert twin == g and hash(twin) == hash(g)
+                    assert twin._table is None
+                    assert twin * g == g * g
+
+    def test_own_index_lookups_build_no_sort_key(self, monkeypatch):
+        oct_ = octahedral_group()
+        oct_.table, _cube_perms()
+        calls = []
+        original = RotationElement.sort_key
+        monkeypatch.setattr(
+            RotationElement, "sort_key", lambda g: calls.append(g) or original(g)
+        )
+        for g in oct_:
+            assert g in oct_
+            assert rotation_to_perm(g) is not None
+        assert calls == []
+        # elements of another table are still found by value
+        assert icosahedral_group().elements[0] in oct_  # a coordinate flip
+        assert rot("(12)") not in tetrahedral_group()
+        assert len(calls) == 2

@@ -361,3 +361,110 @@ class TestOnePath:
         sols = enumerate_valid_decorations(ref1_diagram(), opts)
         assert count_classes(sols, REF1_HOPF_ORDER, opts) >= 1
         assert calls == []
+
+
+def hopf_ring(n: int) -> SingularLinkDiagram:
+    """n Hopf nodes; node i's self-arc crosses node i+1's disc."""
+    return SingularLinkDiagram(
+        hopfs=tuple(f"R{i}" for i in range(n)),
+        arcs=tuple(
+            arc(f"S{i}", f"R{i}.a", 0, f"R{i}.b", 0, [(f"R{(i + 1) % n}.a", 1)])
+            for i in range(n)
+        ),
+    )
+
+
+def so3_count_per_solution(solutions, hopf_order) -> int:
+    """Reference: one canonical_class key per solution."""
+    return len({canonical_class([dec[h] for h in hopf_order]) for dec in solutions})
+
+
+def hopf_orbits(solutions, hopf_order, group) -> set:
+    """The Hopf tuples' orbits under simultaneous matrix conjugation."""
+    return {
+        frozenset(
+            tuple(conjugate(c, dec[h]) for h in hopf_order) for c in group
+        )
+        for dec in solutions
+    }
+
+
+class TestTablePath:
+    def test_ref1_search_multiplies_no_matrices(self, monkeypatch):
+        group = octahedral_group()
+        group.table  # built before counting
+        products, keys = [], []
+        matmul = Matrix3.__mul__
+        canon = linkrep.search.canonical_class
+        monkeypatch.setattr(
+            Matrix3, "__mul__", lambda a, b: products.append(1) or matmul(a, b)
+        )
+        monkeypatch.setattr(
+            linkrep.search, "canonical_class", lambda els: keys.append(els) or canon(els)
+        )
+        sols = enumerate_valid_decorations(ref1_diagram(), OCT)
+        assert count_classes(sols, REF1_HOPF_ORDER, OCT) == 1
+        assert len(sols) == 120
+        assert products == []
+        monkeypatch.undo()
+        assert len(keys) == len(hopf_orbits(sols, REF1_HOPF_ORDER, group)) == 1
+
+    def test_empty_words_multiply_no_matrices(self, monkeypatch):
+        d = SingularLinkDiagram(
+            circles=("C",),
+            hopfs=("H",),
+            arcs=(
+                arc("A1", "H.a", 0, "H.b", 0, [("C", 1)]),
+                arc("A2", "C", 0, "C", 1),  # holonomy: the identity constant
+                arc("A3", "H.a", 1, "H.b", 1),
+            ),
+        )
+        octahedral_group().table
+        products = []
+        matmul = Matrix3.__mul__
+        monkeypatch.setattr(
+            Matrix3, "__mul__", lambda a, b: products.append(1) or matmul(a, b)
+        )
+        assert enumerate_valid_decorations(d, OCT)
+        assert products == []
+
+    def test_every_solution_is_reverified(self, monkeypatch):
+        checked = {"check_relators": [], "check_sw": []}
+        for name, calls in checked.items():
+            check = getattr(linkrep.search, name)
+            monkeypatch.setattr(
+                linkrep.search,
+                name,
+                lambda d, dec, calls=calls, check=check: calls.append(dec) or check(d, dec),
+            )
+        sols = enumerate_valid_decorations(ref1_diagram(), OCT)
+        assert len(sols) == 120
+        for calls in checked.values():
+            assert set(sols) <= set(calls)
+
+    @pytest.mark.parametrize(
+        "d, hopf_order",
+        [(ref1_diagram(), REF1_HOPF_ORDER), (hopf_ring(4), ("R0", "R1", "R2", "R3"))],
+    )
+    def test_per_orbit_count_equals_per_solution_count(self, d, hopf_order):
+        for group in (octahedral_group(), icosahedral_group()):
+            sols = enumerate_valid_decorations(d, SearchOptions(group))
+            n = count_classes(sols, hopf_order, SearchOptions(group))
+            assert n == so3_count_per_solution(sols, hopf_order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        group=st.sampled_from([octahedral_group(), icosahedral_group()]),
+    )
+    def test_per_orbit_count_on_random_diagrams(self, seed, group):
+        d = random_diagram(random.Random(seed))
+        assume(check_genus0(d).passed and _search_space(d, group) <= 600)
+        sols = enumerate_valid_decorations(d, SearchOptions(group))
+        n = count_classes(sols, d.hopfs, SearchOptions(group))
+        assert n == so3_count_per_solution(sols, d.hopfs)
+
+    def test_so3_canonical_rejects_elements_outside_the_group(self):
+        tet = SearchOptions(group=tetrahedral_group())
+        with pytest.raises(ValueError, match="outside the group"):
+            count_classes([ref1_decoration()], REF1_HOPF_ORDER, tet)

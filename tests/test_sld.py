@@ -3,6 +3,7 @@ import io
 import shlex
 import sys
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,22 @@ from hypothesis import strategies as st
 from linkrep.cli import main
 from linkrep.conditions import Decoration, run_all_checks
 from linkrep.diagram import ArcBand, CircleRef, DiagramError, SingularLinkDiagram
-from linkrep.rotation import RotationElement, rot
+from linkrep.rotation import (
+    CubePermutation,
+    RotationElement,
+    icosahedral_group,
+    perm_to_rotation,
+    rot,
+)
 from linkrep.sldfile import (
+    GROUP_NAMES,
     ArcStmt,
+    CircleStmt,
     CommentStmt,
     DecorateStmt,
     GroupStmt,
+    HopfStmt,
+    SldDocument,
     SldParseError,
     _tokenize,
     parse,
@@ -309,6 +320,63 @@ class TestSerialize:
         assert isinstance(doc.statements[0], CommentStmt)
         assert isinstance(doc.statements[1], GroupStmt)
         assert serialize(doc) == text
+
+
+_IDS = st.text("ABCxyz019_", min_size=1, max_size=3)
+_S4 = [CubePermutation(tuple(p)) for p in permutations((1, 2, 3, 4))]
+
+
+@st.composite
+def sld_documents(draw) -> SldDocument:
+    """Documents parse accepts: unique node and arc ids, each decoration of
+    a declared node once, statements in any order.  Arc references need not
+    resolve; that is the diagram's concern, not the format's."""
+    nodes = draw(st.lists(_IDS, unique=True, max_size=6))
+    kinds = draw(st.lists(st.booleans(), min_size=len(nodes), max_size=len(nodes)))
+    refs = st.builds(CircleRef, _IDS, st.sampled_from([None, "a", "b"]))
+    arcs = [
+        ArcStmt(
+            ArcBand(
+                id=arc_id,
+                start=draw(refs),
+                start_slot=draw(st.integers(-3, 50)),
+                end=draw(refs),
+                end_slot=draw(st.integers(-3, 50)),
+                word=tuple(draw(st.lists(st.tuples(refs, st.sampled_from((1, -1))), max_size=4))),
+                twist=draw(st.integers(-4, 4)),
+            )
+        )
+        for arc_id in draw(st.lists(_IDS, unique=True, max_size=5))
+    ]
+    elements = icosahedral_group().elements
+    decorations = []
+    for node in draw(st.lists(st.sampled_from(nodes), unique=True)) if nodes else []:
+        if draw(st.booleans()):
+            perm = draw(st.sampled_from(_S4))
+            decorations.append(DecorateStmt(node, perm_to_rotation(perm), perm))
+        else:
+            decorations.append(DecorateStmt(node, draw(st.sampled_from(elements)), None))
+    printable = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+    comments = [
+        CommentStmt(text.strip())
+        for text in draw(st.lists(st.text(printable, max_size=20), max_size=3))
+    ]
+    groups = [GroupStmt(name) for name in draw(st.lists(st.sampled_from(GROUP_NAMES), max_size=1))]
+    declarations = [
+        HopfStmt(n) if hopf else CircleStmt(n) for n, hopf in zip(nodes, kinds)
+    ]
+    statements = groups + declarations + arcs + decorations + comments
+    return SldDocument(tuple(draw(st.permutations(statements))))
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=sld_documents())
+    def test_parse_inverts_serialize_and_serialize_is_stable(self, doc):
+        text = serialize(doc)
+        again = parse(text)
+        assert again == doc
+        assert serialize(again) == text
 
 
 class TestFixtureSemantics:
