@@ -9,12 +9,12 @@ provides an independent route to the relator check.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .diagram import (
+    Adjacency,
     ArcBand,
     CircleRef,
     DiagramError,
@@ -151,55 +151,13 @@ def check_genus0(d: SingularLinkDiagram) -> CheckResult:
 # Stiefel-Whitney condition
 # ---------------------------------------------------------------------------
 
-_Adjacency = Dict[str, List[Tuple[ArcBand, int]]]
-
 #: most simple member paths `check_sw(..., exhaustive_paths=True)` examines
 #: per Hopf node; it reports when more exist
 SIMPLE_PATH_LIMIT = 10000
 
 
-def _adjacency(d: SingularLinkDiagram) -> _Adjacency:
-    """circle id -> [(arc, direction)], direction +1 start->end, -1 end->start."""
-    adj: _Adjacency = {}
-    for a in sorted(d.arcs, key=lambda a: a.id):
-        adj.setdefault(a.start.circle_id, []).append((a, 1))
-        adj.setdefault(a.end.circle_id, []).append((a, -1))
-    return adj
-
-
-def _shortest_arc_path(
-    adj: _Adjacency, src: str, dst: str
-) -> Optional[List[Tuple[ArcBand, int]]]:
-    """BFS path of (arc, direction) steps from circle src to circle dst,
-    ties broken by arc id order."""
-    if src == dst:
-        return []
-    prev: Dict[str, Tuple[str, ArcBand, int]] = {}
-    queue = deque([src])
-    seen = {src}
-    while queue:
-        cur = queue.popleft()
-        for a, direction in adj.get(cur, []):
-            nxt = a.end.circle_id if direction == 1 else a.start.circle_id
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            prev[nxt] = (cur, a, direction)
-            if nxt == dst:
-                path = []
-                node = dst
-                while node != src:
-                    parent, arc, direction = prev[node]
-                    path.append((arc, direction))
-                    node = parent
-                path.reverse()
-                return path
-            queue.append(nxt)
-    return None
-
-
 def _simple_path_products(
-    adj: _Adjacency,
+    adj: Adjacency,
     src: str,
     dst: str,
     holonomy: Callable[[ArcBand], RotationElement],
@@ -257,10 +215,10 @@ def check_sw(
     asserted and any violation surfaced as an internal inconsistency.  With
     exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
     checked for a verdict differing from the shortest path's.  Each arc's
-    holonomy is computed at most once per call."""
+    holonomy is computed at most once per call; the member paths and the
+    adjacency are the diagram's own, built once per diagram."""
     ensure_total(d, dec)
     identity = RotationElement.identity()
-    adj = _adjacency(d)
     holonomies: Dict[str, RotationElement] = {}
 
     def holonomy(a: ArcBand) -> RotationElement:
@@ -277,7 +235,7 @@ def check_sw(
             diagnostics.append(f"hopf {h}: decoration is not a pi-rotation")
             passed = False
             continue
-        path = _shortest_arc_path(adj, f"{h}.a", f"{h}.b")
+        path = d.member_paths[h]
         if path is None:
             raise DiagramError(
                 f"hopf {h}: no arc path between members (selfint precondition)"
@@ -293,7 +251,7 @@ def check_sw(
                 f"hopf {h}: internal inconsistency: path product does not commute with g"
             )
         if exhaustive_paths:
-            products = _simple_path_products(adj, f"{h}.a", f"{h}.b", holonomy)
+            products = _simple_path_products(d.adjacency, f"{h}.a", f"{h}.b", holonomy)
             verdicts = set()
             for q in islice(products, SIMPLE_PATH_LIMIT):
                 verdicts.add(q != identity and q != g)

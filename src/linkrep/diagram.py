@@ -9,9 +9,10 @@ the holonomy calculus in the conditions module.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 
 class DiagramError(Exception):
@@ -70,7 +71,11 @@ class ArcBand:
 @dataclass(frozen=True)
 class SingularLinkDiagram:
     """A well-formed diagram: construction raises DiagramError listing every
-    violation found by `validate`."""
+    violation found by `validate`.
+
+    The diagram is immutable, so the structure that checks and searches read
+    (node-id sets, circle adjacency, member paths, watch lists) is derived
+    on first use and cached on the instance."""
 
     circles: Tuple[str, ...] = ()
     hopfs: Tuple[str, ...] = ()
@@ -100,13 +105,43 @@ class SingularLinkDiagram:
 
     def resolves(self, ref: CircleRef) -> bool:
         if ref.member is None:
-            return ref.node in self.circles
-        return ref.node in self.hopfs
+            return ref.node in self._circle_set
+        return ref.node in self._hopf_set
+
+    @cached_property
+    def _circle_set(self) -> FrozenSet[str]:
+        return frozenset(self.circles)
+
+    @cached_property
+    def _hopf_set(self) -> FrozenSet[str]:
+        return frozenset(self.hopfs)
 
     @cached_property
     def _partition(self) -> "ComponentPartition":
-        # the diagram is immutable, so its components are found once
         return _connected_components(self)
+
+    @cached_property
+    def adjacency(self) -> "Adjacency":
+        """circle id -> [(arc, direction)], arcs in id order."""
+        return _adjacency(self)
+
+    @cached_property
+    def member_paths(self) -> Dict[str, Optional["ArcPath"]]:
+        """Hopf node -> its shortest member path from h.a to h.b, or None
+        when the members are not joined."""
+        adj = self.adjacency
+        return {h: _shortest_arc_path(adj, f"{h}.a", f"{h}.b") for h in self.hopfs}
+
+    @cached_property
+    def arcs_mentioning(self) -> Dict[str, Tuple[ArcBand, ...]]:
+        """node -> the arcs whose endpoints or word mention it, in arc order."""
+        out: Dict[str, List[ArcBand]] = {n: [] for n in (*self.hopfs, *self.circles)}
+        for a in self.arcs:
+            for n in dict.fromkeys(
+                [a.start.node, a.end.node] + [ref.node for ref, _ in a.word]
+            ):
+                out[n].append(a)
+        return {n: tuple(arcs) for n, arcs in out.items()}
 
 
 def validate(d: SingularLinkDiagram) -> List[str]:
@@ -143,6 +178,52 @@ def validate(d: SingularLinkDiagram) -> List[str]:
             if not d.resolves(ref):
                 violations.append(f"unresolved reference {ref} in word of arc {a.id}")
     return violations
+
+
+# ---------------------------------------------------------------------------
+# circle adjacency and member paths
+# ---------------------------------------------------------------------------
+
+Adjacency = Dict[str, List[Tuple[ArcBand, int]]]
+ArcPath = List[Tuple[ArcBand, int]]  # (arc, direction) steps
+
+
+def _adjacency(d: SingularLinkDiagram) -> Adjacency:
+    """circle id -> [(arc, direction)], direction +1 start->end, -1 end->start."""
+    adj: Adjacency = {}
+    for a in sorted(d.arcs, key=lambda a: a.id):
+        adj.setdefault(a.start.circle_id, []).append((a, 1))
+        adj.setdefault(a.end.circle_id, []).append((a, -1))
+    return adj
+
+
+def _shortest_arc_path(adj: Adjacency, src: str, dst: str) -> Optional[ArcPath]:
+    """BFS path of (arc, direction) steps from circle src to circle dst,
+    ties broken by arc id order."""
+    if src == dst:
+        return []
+    prev: Dict[str, Tuple[str, ArcBand, int]] = {}
+    queue = deque([src])
+    seen = {src}
+    while queue:
+        cur = queue.popleft()
+        for a, direction in adj.get(cur, []):
+            nxt = a.end.circle_id if direction == 1 else a.start.circle_id
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            prev[nxt] = (cur, a, direction)
+            if nxt == dst:
+                path = []
+                node = dst
+                while node != src:
+                    parent, arc, direction = prev[node]
+                    path.append((arc, direction))
+                    node = parent
+                path.reverse()
+                return path
+            queue.append(nxt)
+    return None
 
 
 @dataclass(frozen=True)

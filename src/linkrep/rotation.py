@@ -104,7 +104,11 @@ def conjugate(g: RotationElement, h: RotationElement) -> RotationElement:
 
 def is_involution(g: RotationElement) -> bool:
     """True iff g is a rotation by pi: trace 1 + 2 cos(theta) = -1.
-    (Equivalent to g != I and g*g = I; tests pin the equivalence.)"""
+    (Equivalent to g != I and g*g = I; tests pin the equivalence.)  An
+    element a table owns is looked up in the table's involutions."""
+    t = g._table
+    if t is not None:
+        return g._index in t.involutions
     return g.trace() == ExactScalar.of(-1)
 
 

@@ -3,9 +3,14 @@
 Backtracking works on indices into the group's Cayley table (no matrix
 products) and assigns nodes in an order that maximizes forced conjugation
 propagation: an arc whose word mentions only assigned nodes determines one
-endpoint from the other.  Solutions are re-verified by the condition checks
-after the search, so pruning cannot introduce soundness holes; their
-elements belong to the table, so the checks' products are table reads too.
+endpoint from the other.  Propagation follows the trail of newly assigned
+nodes and visits only the arcs that mention them (the diagram's watch
+lists).  Once every node a Hopf node's Stiefel-Whitney verdict depends on
+is assigned, the verdict is computed on indices along the diagram's cached
+member path, with check_sw's predicate, and a failing branch is pruned.  So
+the leaves are exactly the solutions; each is still re-verified by the
+public condition checks, and its elements belong to the table, so the
+checks' products are table reads too.
 
 Solution tuples of pi-rotations are compared up to simultaneous rotation via
 an exact invariant of their axis configuration: the pairwise squared-cosine
@@ -27,7 +32,7 @@ from .conditions import (
     check_selfint,
     check_sw,
 )
-from .diagram import ArcBand, SingularLinkDiagram
+from .diagram import ArcBand, ArcPath, SingularLinkDiagram
 from .field import (
     AxisLine,
     Matrix3,
@@ -82,6 +87,36 @@ def _node_order(d: SingularLinkDiagram) -> List[str]:
     return sorted(counts, key=lambda n: (-counts[n], n))
 
 
+def _word_index(
+    a: ArcBand, assignment: Dict[str, int], table: GroupTable
+) -> Optional[int]:
+    """The table index of the holonomy C(A), leftmost factor first, or None
+    while a node of the word is unassigned."""
+    mul, inv = table.mul, table.inv
+    out = table.identity
+    for ref, sign in a.word:
+        g = assignment.get(ref.node)
+        if g is None:
+            return None
+        out = mul[out][g if sign == 1 else inv[g]]
+    return out
+
+
+def _sw_passes(
+    path: ArcPath, g: int, assignment: Dict[str, int], table: GroupTable
+) -> bool:
+    """check_sw's verdict for a Hopf node decorated by the involution g, on
+    table indices: the product over its member path, folded leftmost first
+    as check_sw folds it, avoids {I, g}.  Every node in the words of the
+    path's arcs must be assigned."""
+    mul, inv, e = table.mul, table.inv, table.identity
+    p = e
+    for a, direction in path:
+        c = _word_index(a, assignment, table)
+        p = mul[p][c if direction == 1 else inv[c]]
+    return p != e and p != g
+
+
 def enumerate_valid_decorations(
     d: SingularLinkDiagram, opts: SearchOptions
 ) -> List[Decoration]:
@@ -100,35 +135,36 @@ def enumerate_valid_decorations(
     nodes = _node_order(d)
     table = opts.group.table
     elements, mult, inv = table.elements, table.mul, table.inv
-    identity_idx = table.identity
     # Hopf nodes carry pi-rotations (check_sw rejects anything else)
     domains = {node: list(range(len(elements))) for node in d.circles}
     domains.update({node: list(table.involutions) for node in d.hopfs})
     allowed_sets = {node: set(dom) for node, dom in domains.items()}
+    watchers = d.arcs_mentioning
+    # a Hopf node's SW verdict is determined once the node and every node in
+    # the words of its member path are assigned: its support
+    paths = d.member_paths
+    support = {
+        h: {h, *(ref.node for a, _ in paths[h] for ref, _ in a.word)} for h in d.hopfs
+    }
+    sw_watchers: Dict[str, List[str]] = {node: [] for node in domains}
+    for h in d.hopfs:
+        for node in support[h]:
+            sw_watchers[node].append(h)
 
     assignment: Dict[str, int] = {}
     node_names = sorted(domains)
     solutions: List[Tuple[tuple, Decoration]] = []
 
-    def word_product(a: ArcBand) -> Optional[int]:
-        out = identity_idx
-        for ref, sign in a.word:
-            g = assignment.get(ref.node)
-            if g is None:
-                return None
-            out = mult[out][g if sign == 1 else inv[g]]
-        return out
-
     def conj(c: int, g: int) -> int:
         return mult[mult[c][g]][inv[c]]
 
     def propagate(trail: List[str]) -> bool:
-        """Force endpoints through fully-worded arcs; False on contradiction."""
-        changed = True
-        while changed:
-            changed = False
-            for a in d.arcs:
-                c = word_product(a)
+        """Force endpoints through fully-worded arcs that mention a newly
+        assigned node, extending the trail; False on contradiction."""
+        i = 0
+        while i < len(trail):
+            for a in watchers[trail[i]]:
+                c = _word_index(a, assignment, table)
                 if c is None:
                     continue
                 g = assignment.get(a.start.node)
@@ -142,14 +178,22 @@ def enumerate_valid_decorations(
                         return False
                     assignment[a.end.node] = forced
                     trail.append(a.end.node)
-                    changed = True
                 elif h is not None:
                     forced = conj(inv[c], h)
                     if forced not in allowed_sets[a.start.node]:
                         return False
                     assignment[a.start.node] = forced
                     trail.append(a.start.node)
-                    changed = True
+            i += 1
+        return True
+
+    def sw_holds(trail: List[str]) -> bool:
+        """False if a Hopf node whose support the trail completed fails SW."""
+        for h in dict.fromkeys(h for node in trail for h in sw_watchers[node]):
+            if all(node in assignment for node in support[h]) and not _sw_passes(
+                paths[h], assignment[h], assignment, table
+            ):
+                return False
         return True
 
     def descend():
@@ -164,7 +208,7 @@ def enumerate_valid_decorations(
         for g in domains[node]:
             assignment[node] = g
             trail = [node]
-            if propagate(trail):
+            if propagate(trail) and sw_holds(trail):
                 descend()
             for n in trail:
                 del assignment[n]

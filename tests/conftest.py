@@ -66,6 +66,43 @@ def random_decoration(d: SingularLinkDiagram, rng: random.Random) -> Decoration:
     )
 
 
+def hopf_ring(n: int) -> SingularLinkDiagram:
+    """n Hopf nodes; node i's self-arc crosses node i+1's disc."""
+    return SingularLinkDiagram(
+        hopfs=tuple(f"R{i}" for i in range(n)),
+        arcs=tuple(
+            ArcBand(
+                id=f"S{i}",
+                start=CircleRef(f"R{i}", "a"),
+                start_slot=0,
+                end=CircleRef(f"R{i}", "b"),
+                end_slot=0,
+                word=((CircleRef(f"R{(i + 1) % n}", "a"), 1),),
+            )
+            for i in range(n)
+        ),
+    )
+
+
+def search_space(d: SingularLinkDiagram, group) -> int:
+    """|G| per group of nodes joined by arcs, the involution count for one
+    holding a Hopf node: a rough size of the backtracking tree."""
+    parent = {n: n for n in d.hopfs + d.circles}
+
+    def find(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for a in d.arcs:
+        parent[find(a.start.node)] = find(a.end.node)
+    size = 1
+    for root in {find(n) for n in parent}:
+        hopf = any(find(h) == root for h in d.hopfs)
+        size *= len(group.table.involutions) if hopf else len(group)
+    return size
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linkrep.conditions
+import linkrep.diagram
 from linkrep.conditions import (
     CheckResult,
     Decoration,
@@ -284,14 +285,15 @@ class TestSW:
         assert res.passed
         assert not any("path-dependent" in line for line in res.diagnostics)
 
-    def test_adjacency_built_once_per_check(self, monkeypatch):
+    def test_adjacency_built_once_per_diagram(self, monkeypatch):
         calls = []
-        real = linkrep.conditions._adjacency
+        real = linkrep.diagram._adjacency
         monkeypatch.setattr(
-            linkrep.conditions, "_adjacency", lambda d: calls.append(d) or real(d)
+            linkrep.diagram, "_adjacency", lambda d: calls.append(d) or real(d)
         )
         d = ref1_diagram()
-        assert check_sw(d, ref1_decoration(), exhaustive_paths=True).passed
+        for exhaustive in (False, True, False, True):
+            assert check_sw(d, ref1_decoration(), exhaustive_paths=exhaustive).passed
         assert calls == [d]
 
 
@@ -346,7 +348,7 @@ def doubled_chain(links: int) -> str:
 def _reference_path_products(d, dec, src, dst):
     """Reference: every simple member path enumerated depth first, with its
     product folded from the first factor on its own."""
-    adj = linkrep.conditions._adjacency(d)
+    adj = d.adjacency
     stack, visited = [], {src}
 
     def walk(cur):
@@ -374,7 +376,7 @@ class TestExhaustivePaths:
         rng = random.Random(seed)
         d = random_diagram(rng)
         dec = random_decoration(d, rng)
-        adj = linkrep.conditions._adjacency(d)
+        adj = d.adjacency
         for h in d.hopfs:
             src, dst = f"{h}.a", f"{h}.b"
             got = linkrep.conditions._simple_path_products(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import time
 
 import pytest
 
@@ -81,6 +82,23 @@ class TestValidate:
             "unresolved reference ghost in word of arc a1",
         ]
         assert str(exc.value) == "; ".join(exc.value.violations)
+
+    def test_construction_is_linear_in_the_node_count(self):
+        # a decorated-chain shape: node i's self-arc crosses node i+1, the
+        # link arc from node i to node i+1 crosses one of three circles
+        n = 4000
+        arcs = [
+            arc(f"S{i}", f"N{i}.a", 0, f"N{i}.b", 0, [(f"N{(i + 1) % n}.a", 1)])
+            for i in range(n)
+        ] + [
+            arc(f"L{i}", f"N{i}.b", 1, f"N{i + 1}.a", 1, [(f"Z{i % 3}", 1)])
+            for i in range(n - 1)
+        ]
+        hopfs = tuple(f"N{i}" for i in range(n))
+        start = time.perf_counter()
+        d = SingularLinkDiagram(circles=("Z0", "Z1", "Z2"), hopfs=hopfs, arcs=tuple(arcs))
+        assert time.perf_counter() - start < 0.25
+        assert d.n_hopf == n
 
     def test_validate_runs_once_per_diagram(self, monkeypatch):
         calls = []

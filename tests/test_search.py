@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import linkrep.diagram
 import linkrep.search
 from linkrep.conditions import CheckResult, Decoration, check_genus0, check_sw, run_all_checks
 from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram
@@ -29,7 +30,13 @@ from linkrep.search import (
     verify_onepoint_geometry,
 )
 
-from conftest import random_diagram, ref1_decoration, ref1_diagram
+from conftest import (
+    hopf_ring,
+    random_diagram,
+    ref1_decoration,
+    ref1_diagram,
+    search_space,
+)
 
 
 def arc(aid, start, s_slot, end, e_slot, word=()):
@@ -115,25 +122,6 @@ class TestEnumerate:
         assert sols == []
 
 
-def _search_space(d, group) -> int:
-    """|G| per group of nodes joined by arcs, the involution count for one
-    holding a Hopf node: a rough size of the backtracking tree."""
-    parent = {n: n for n in d.hopfs + d.circles}
-
-    def find(n):
-        while parent[n] != n:
-            n = parent[n]
-        return n
-
-    for a in d.arcs:
-        parent[find(a.start.node)] = find(a.end.node)
-    size = 1
-    for root in {find(n) for n in parent}:
-        hopf = any(find(h) == root for h in d.hopfs)
-        size *= len(group.table.involutions) if hopf else len(group)
-    return size
-
-
 class TestEquivariance:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -142,7 +130,7 @@ class TestEquivariance:
     )
     def test_raw_solutions_are_closed_under_conjugation(self, seed, group):
         d = random_diagram(random.Random(seed))
-        assume(check_genus0(d).passed and _search_space(d, group) <= 600)
+        assume(check_genus0(d).passed and search_space(d, group) <= 600)
         solutions = enumerate_valid_decorations(d, SearchOptions(group, "none"))
         found = set(solutions)
         assert len(found) == len(solutions)
@@ -363,17 +351,6 @@ class TestOnePath:
         assert calls == []
 
 
-def hopf_ring(n: int) -> SingularLinkDiagram:
-    """n Hopf nodes; node i's self-arc crosses node i+1's disc."""
-    return SingularLinkDiagram(
-        hopfs=tuple(f"R{i}" for i in range(n)),
-        arcs=tuple(
-            arc(f"S{i}", f"R{i}.a", 0, f"R{i}.b", 0, [(f"R{(i + 1) % n}.a", 1)])
-            for i in range(n)
-        ),
-    )
-
-
 def so3_count_per_solution(solutions, hopf_order) -> int:
     """Reference: one canonical_class key per solution."""
     return len({canonical_class([dec[h] for h in hopf_order]) for dec in solutions})
@@ -439,8 +416,22 @@ class TestTablePath:
             )
         sols = enumerate_valid_decorations(ref1_diagram(), OCT)
         assert len(sols) == 120
+        # SW failures are pruned while backtracking: only solutions reach
+        # the public checks, each exactly once
         for calls in checked.values():
-            assert set(sols) <= set(calls)
+            assert len(calls) == 120 and set(calls) == set(sols)
+
+    def test_member_paths_built_once_per_search(self, monkeypatch):
+        searched = []
+        real = linkrep.diagram._shortest_arc_path
+        monkeypatch.setattr(
+            linkrep.diagram,
+            "_shortest_arc_path",
+            lambda adj, src, dst: searched.append((src, dst)) or real(adj, src, dst),
+        )
+        d = ref1_diagram()
+        assert len(enumerate_valid_decorations(d, OCT)) == 120
+        assert searched == [(f"{h}.a", f"{h}.b") for h in d.hopfs]
 
     @pytest.mark.parametrize(
         "d, hopf_order",
@@ -459,7 +450,7 @@ class TestTablePath:
     )
     def test_per_orbit_count_on_random_diagrams(self, seed, group):
         d = random_diagram(random.Random(seed))
-        assume(check_genus0(d).passed and _search_space(d, group) <= 600)
+        assume(check_genus0(d).passed and search_space(d, group) <= 600)
         sols = enumerate_valid_decorations(d, SearchOptions(group))
         n = count_classes(sols, d.hopfs, SearchOptions(group))
         assert n == so3_count_per_solution(sols, d.hopfs)
