@@ -178,7 +178,7 @@ def _simple_path_products(
     folded: List[RotationElement] = []  # folded[i]: product of steps[: i + 1]
     reached: List[str] = []  # reached[i]: the circle steps[i] leads to
     seen = {src}
-    pending = [iter(adj.get(src, []))]  # one adjacency iterator per circle
+    pending = [iter(adj.get(src, ()))]  # one adjacency iterator per circle
     while pending:
         step = next(pending[-1], None)
         if step is None:
@@ -196,7 +196,7 @@ def _simple_path_products(
         if nxt != dst:
             reached.append(nxt)
             seen.add(nxt)
-            pending.append(iter(adj.get(nxt, [])))
+            pending.append(iter(adj.get(nxt, ())))
             continue
         for i in range(len(folded), len(steps)):
             a, direction = steps[i]

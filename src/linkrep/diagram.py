@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 
 class DiagramError(Exception):
@@ -75,7 +76,8 @@ class SingularLinkDiagram:
 
     The diagram is immutable, so the structure that checks and searches read
     (node-id sets, circle adjacency, member paths, watch lists) is derived
-    on first use and cached on the instance."""
+    on first use and cached on the instance, as read-only mappings of
+    tuples: every later caller shares it."""
 
     circles: Tuple[str, ...] = ()
     hopfs: Tuple[str, ...] = ()
@@ -126,14 +128,16 @@ class SingularLinkDiagram:
         return _adjacency(self)
 
     @cached_property
-    def member_paths(self) -> Dict[str, Optional["ArcPath"]]:
+    def member_paths(self) -> Mapping[str, Optional["ArcPath"]]:
         """Hopf node -> its shortest member path from h.a to h.b, or None
         when the members are not joined."""
         adj = self.adjacency
-        return {h: _shortest_arc_path(adj, f"{h}.a", f"{h}.b") for h in self.hopfs}
+        return MappingProxyType(
+            {h: _shortest_arc_path(adj, f"{h}.a", f"{h}.b") for h in self.hopfs}
+        )
 
     @cached_property
-    def arcs_mentioning(self) -> Dict[str, Tuple[ArcBand, ...]]:
+    def arcs_mentioning(self) -> Mapping[str, Tuple[ArcBand, ...]]:
         """node -> the arcs whose endpoints or word mention it, in arc order."""
         out: Dict[str, List[ArcBand]] = {n: [] for n in (*self.hopfs, *self.circles)}
         for a in self.arcs:
@@ -141,7 +145,7 @@ class SingularLinkDiagram:
                 [a.start.node, a.end.node] + [ref.node for ref, _ in a.word]
             ):
                 out[n].append(a)
-        return {n: tuple(arcs) for n, arcs in out.items()}
+        return MappingProxyType({n: tuple(arcs) for n, arcs in out.items()})
 
 
 def validate(d: SingularLinkDiagram) -> List[str]:
@@ -184,30 +188,31 @@ def validate(d: SingularLinkDiagram) -> List[str]:
 # circle adjacency and member paths
 # ---------------------------------------------------------------------------
 
-Adjacency = Dict[str, List[Tuple[ArcBand, int]]]
-ArcPath = List[Tuple[ArcBand, int]]  # (arc, direction) steps
+Adjacency = Mapping[str, Tuple[Tuple[ArcBand, int], ...]]
+ArcPath = Tuple[Tuple[ArcBand, int], ...]  # (arc, direction) steps
 
 
 def _adjacency(d: SingularLinkDiagram) -> Adjacency:
-    """circle id -> [(arc, direction)], direction +1 start->end, -1 end->start."""
-    adj: Adjacency = {}
+    """circle id -> ((arc, direction), ...), direction +1 start->end,
+    -1 end->start."""
+    adj: Dict[str, List[Tuple[ArcBand, int]]] = {}
     for a in sorted(d.arcs, key=lambda a: a.id):
         adj.setdefault(a.start.circle_id, []).append((a, 1))
         adj.setdefault(a.end.circle_id, []).append((a, -1))
-    return adj
+    return MappingProxyType({cid: tuple(steps) for cid, steps in adj.items()})
 
 
 def _shortest_arc_path(adj: Adjacency, src: str, dst: str) -> Optional[ArcPath]:
     """BFS path of (arc, direction) steps from circle src to circle dst,
     ties broken by arc id order."""
     if src == dst:
-        return []
+        return ()
     prev: Dict[str, Tuple[str, ArcBand, int]] = {}
     queue = deque([src])
     seen = {src}
     while queue:
         cur = queue.popleft()
-        for a, direction in adj.get(cur, []):
+        for a, direction in adj.get(cur, ()):
             nxt = a.end.circle_id if direction == 1 else a.start.circle_id
             if nxt in seen:
                 continue
@@ -220,8 +225,7 @@ def _shortest_arc_path(adj: Adjacency, src: str, dst: str) -> Optional[ArcPath]:
                     parent, arc, direction = prev[node]
                     path.append((arc, direction))
                     node = parent
-                path.reverse()
-                return path
+                return tuple(reversed(path))
             queue.append(nxt)
     return None
 

@@ -5,12 +5,15 @@ products) and assigns nodes in an order that maximizes forced conjugation
 propagation: an arc whose word mentions only assigned nodes determines one
 endpoint from the other.  Propagation follows the trail of newly assigned
 nodes and visits only the arcs that mention them (the diagram's watch
-lists).  Once every node a Hopf node's Stiefel-Whitney verdict depends on
-is assigned, the verdict is computed on indices along the diagram's cached
-member path, with check_sw's predicate, and a failing branch is pruned.  So
-the leaves are exactly the solutions; each is still re-verified by the
-public condition checks, and its elements belong to the table, so the
-checks' products are table reads too.
+lists).  Every leaf is verified by the public condition checks; its
+elements belong to the table, so the checks' products are table reads too.
+
+With SearchOptions.prune_sw, once every node a Hopf node's
+Stiefel-Whitney verdict depends on is assigned, the verdict is computed on
+indices along the diagram's cached member path, with check_sw's
+predicate, and a failing branch is pruned.  The solutions and their order
+are the same; the leaves are then exactly the solutions, each still
+re-verified by the public checks.
 
 Solution tuples of pi-rotations are compared up to simultaneous rotation via
 an exact invariant of their axis configuration: the pairwise squared-cosine
@@ -57,6 +60,8 @@ class StructuralConditionError(Exception):
 class SearchOptions:
     group: FiniteRotationGroup
     dedup: str = "so3_canonical"  # none | group_conjugacy | so3_canonical
+    # reject Stiefel-Whitney failures while backtracking, on table indices
+    prune_sw: bool = False
 
     def __post_init__(self):
         if len(self.group) == 0:
@@ -121,7 +126,8 @@ def enumerate_valid_decorations(
     d: SingularLinkDiagram, opts: SearchOptions
 ) -> List[Decoration]:
     """All total decorations over opts.group passing the relator and
-    Stiefel-Whitney checks; deterministic order.
+    Stiefel-Whitney checks; deterministic order, the same with and without
+    opts.prune_sw.
 
     A failing genus condition is an error (the search contract presumes it);
     a failing self-intersection condition makes every Stiefel-Whitney path
@@ -189,6 +195,8 @@ def enumerate_valid_decorations(
 
     def sw_holds(trail: List[str]) -> bool:
         """False if a Hopf node whose support the trail completed fails SW."""
+        if not opts.prune_sw:
+            return True
         for h in dict.fromkeys(h for node in trail for h in sw_watchers[node]):
             if all(node in assignment for node in support[h]) and not _sw_passes(
                 paths[h], assignment[h], assignment, table

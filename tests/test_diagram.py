@@ -84,21 +84,39 @@ class TestValidate:
         assert str(exc.value) == "; ".join(exc.value.violations)
 
     def test_construction_is_linear_in_the_node_count(self):
-        # a decorated-chain shape: node i's self-arc crosses node i+1, the
-        # link arc from node i to node i+1 crosses one of three circles
-        n = 4000
-        arcs = [
-            arc(f"S{i}", f"N{i}.a", 0, f"N{i}.b", 0, [(f"N{(i + 1) % n}.a", 1)])
-            for i in range(n)
-        ] + [
-            arc(f"L{i}", f"N{i}.b", 1, f"N{i + 1}.a", 1, [(f"Z{i % 3}", 1)])
-            for i in range(n - 1)
-        ]
-        hopfs = tuple(f"N{i}" for i in range(n))
-        start = time.perf_counter()
-        d = SingularLinkDiagram(circles=("Z0", "Z1", "Z2"), hopfs=hopfs, arcs=tuple(arcs))
-        assert time.perf_counter() - start < 0.25
-        assert d.n_hopf == n
+        def build_seconds(n):
+            # a decorated-chain shape: node i's self-arc crosses node i+1,
+            # the link arc from node i to node i+1 crosses one of three circles
+            arcs = [
+                arc(f"S{i}", f"N{i}.a", 0, f"N{i}.b", 0, [(f"N{(i + 1) % n}.a", 1)])
+                for i in range(n)
+            ] + [
+                arc(f"L{i}", f"N{i}.b", 1, f"N{i + 1}.a", 1, [(f"Z{i % 3}", 1)])
+                for i in range(n - 1)
+            ]
+            hopfs = tuple(f"N{i}" for i in range(n))
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                d = SingularLinkDiagram(
+                    circles=("Z0", "Z1", "Z2"), hopfs=hopfs, arcs=tuple(arcs)
+                )
+                best = min(best, time.perf_counter() - start)
+            assert d.n_hopf == n
+            return best
+
+        small, large = build_seconds(1000), build_seconds(4000)
+        # membership tests on the node tuples made 4000 nodes cost ~0.8 s,
+        # about 16 times 1000 nodes; linear work is about 4 times
+        assert large < 0.25
+        assert large < 8 * small
+
+    def test_cached_plan_is_read_only(self):
+        d = ref1_diagram()
+        for plan in (d.adjacency, d.member_paths, d.arcs_mentioning):
+            with pytest.raises(TypeError):
+                plan["x"] = ()
+            assert all(isinstance(v, tuple) for v in plan.values())
 
     def test_validate_runs_once_per_diagram(self, monkeypatch):
         calls = []

@@ -405,7 +405,9 @@ class TestTablePath:
         assert enumerate_valid_decorations(d, OCT)
         assert products == []
 
-    def test_every_solution_is_reverified(self, monkeypatch):
+    @staticmethod
+    def checked_ref1_search(monkeypatch, opts):
+        """REF-1's solutions and the decorations each public check saw."""
         checked = {"check_relators": [], "check_sw": []}
         for name, calls in checked.items():
             check = getattr(linkrep.search, name)
@@ -414,10 +416,22 @@ class TestTablePath:
                 name,
                 lambda d, dec, calls=calls, check=check: calls.append(dec) or check(d, dec),
             )
-        sols = enumerate_valid_decorations(ref1_diagram(), OCT)
+        return enumerate_valid_decorations(ref1_diagram(), opts), checked
+
+    def test_every_solution_is_reverified(self, monkeypatch):
+        sols, checked = self.checked_ref1_search(monkeypatch, OCT)
         assert len(sols) == 120
-        # SW failures are pruned while backtracking: only solutions reach
-        # the public checks, each exactly once
+        # every leaf reaches the public checks exactly once
+        for calls in checked.values():
+            assert len(calls) == len(set(calls)) == 273
+            assert set(sols) <= set(calls)
+
+    def test_pruned_search_reverifies_only_the_solutions(self, monkeypatch):
+        opts = SearchOptions(octahedral_group(), prune_sw=True)
+        sols, checked = self.checked_ref1_search(monkeypatch, opts)
+        assert len(sols) == 120
+        # SW failures are pruned while backtracking, so each public check
+        # runs exactly once per solution
         for calls in checked.values():
             assert len(calls) == 120 and set(calls) == set(sols)
 
@@ -430,7 +444,9 @@ class TestTablePath:
             lambda adj, src, dst: searched.append((src, dst)) or real(adj, src, dst),
         )
         d = ref1_diagram()
-        assert len(enumerate_valid_decorations(d, OCT)) == 120
+        for prune_sw in (False, True):
+            opts = SearchOptions(octahedral_group(), prune_sw=prune_sw)
+            assert len(enumerate_valid_decorations(d, opts)) == 120
         assert searched == [(f"{h}.a", f"{h}.b") for h in d.hopfs]
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 and its Stiefel-Whitney pruning against check_sw."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from linkrep.search import (
 )
 from linkrep.sldfile import parse
 
+import search_oracle
 from conftest import FIXTURES, hopf_ring, random_diagram, search_space
 from search_oracle import reference_enumerate
 
@@ -33,19 +35,34 @@ GROUPS = [octahedral_group(), icosahedral_group(), tetrahedral_group()]
 DEDUP_MODES = ("none", "group_conjugacy", "so3_canonical")
 
 
-def assert_matches_reference(d: SingularLinkDiagram, group) -> None:
+def leaves_and_solutions(search, module, d: SingularLinkDiagram, opts: SearchOptions):
+    """The leaves a search hands to the public re-verification (its
+    check_relators calls) and the solutions it returns."""
     leaves = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
-            linkrep.search,
+            module,
             "check_relators",
             lambda d, dec: leaves.append(dec) or check_relators(d, dec),
         )
-        got = enumerate_valid_decorations(d, SearchOptions(group))
-    want = reference_enumerate(d, SearchOptions(group))
-    assert got == want
-    # pruning leaves only solutions for the public re-verification
-    assert len(leaves) == len(got)
+        return leaves, search(d, opts)
+
+
+def assert_matches_reference(d: SingularLinkDiagram, group) -> None:
+    want_leaves, want = leaves_and_solutions(
+        reference_enumerate, search_oracle, d, SearchOptions(group)
+    )
+    for prune_sw in (False, True):
+        leaves, got = leaves_and_solutions(
+            enumerate_valid_decorations,
+            linkrep.search,
+            d,
+            SearchOptions(group, prune_sw=prune_sw),
+        )
+        assert got == want
+        # pruning leaves only solutions for the public re-verification;
+        # without it the leaves are the reference's
+        assert Counter(leaves) == Counter(got if prune_sw else want_leaves)
     for mode in DEDUP_MODES:
         opts = SearchOptions(group, mode)
         assert count_classes(got, d.hopfs, opts) == count_classes(want, d.hopfs, opts)
