@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -31,9 +32,8 @@ from .obstructions import (
     bundle_profile,
     connected_sum_obstruction,
     divisibility_obstruction,
-    pontryagin_square_diag,
 )
-from .rotation import RotationElement, preset_group, rotation_to_perm
+from .rotation import RotationElement, output_form, preset_group
 from .search import (
     SearchOptions,
     StructuralConditionError,
@@ -50,10 +50,10 @@ def _fail(message: str, code: int) -> int:
 
 
 def _element_json(g: RotationElement) -> Dict:
-    perm = rotation_to_perm(g)
-    if perm is not None:
-        return {"perm": perm.cycle_str()}
-    return {"matrix": [format_scalar(e) for row in g.m.rows for e in row]}
+    """A fresh dict, {"perm": cycles} or {"matrix": [nine entries]}, built
+    from the form the element's table computed once."""
+    kind, value = output_form(g)
+    return {kind: list(value) if kind == "matrix" else value}
 
 
 def _checks_json(report: ConditionReport) -> Dict:
@@ -98,7 +98,7 @@ def _diagram_obstructions(b2: int) -> Dict:
     if b2 == 0:
         return {"psq": None, "b2_mod4": 0, "verdict": True}
     return {
-        "psq": pontryagin_square_diag([1] * b2),
+        "psq": (-b2) % 4,  # the Pontryagin square of the all-ones class
         "b2_mod4": b2 % 4,
         "verdict": b2 % 4 == 0,
     }
@@ -327,8 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: every parse returns
+    a fresh namespace, so no call sees another's arguments."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

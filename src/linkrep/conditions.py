@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 from .diagram import (
     Adjacency,
     ArcBand,
-    CircleRef,
     DiagramError,
     SingularLinkDiagram,
     check_selfint_structure,
@@ -61,17 +60,15 @@ class Decoration:
     def __contains__(self, node: str) -> bool:
         return node in self._index
 
-    def of_ref(self, ref: CircleRef) -> RotationElement:
-        return self[ref.node]
-
     def conjugated(self, c: RotationElement) -> "Decoration":
         return Decoration(tuple((k, conjugate(c, v)) for k, v in self.mapping))
 
 
 def ensure_total(d: SingularLinkDiagram, dec: Decoration) -> None:
+    if dec._index.keys() >= d.node_ids:
+        return
     missing = [n for n in list(d.hopfs) + list(d.circles) if n not in dec]
-    if missing:
-        raise DecorationError(f"undecorated nodes: {', '.join(missing)}")
+    raise DecorationError(f"undecorated nodes: {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -109,19 +106,25 @@ def _signed_product(factors: Iterable[Tuple[RotationElement, int]]) -> RotationE
 def holonomy_word(a: ArcBand, dec: Decoration) -> RotationElement:
     """C(A): the ordered product of decorations of the discs the arc crosses,
     raised to the crossing signs, leftmost factor first."""
-    return _signed_product((dec.of_ref(ref), sign) for ref, sign in a.word)
+    index = dec._index
+    try:
+        return _signed_product((index[ref.node], sign) for ref, sign in a.word)
+    except KeyError as exc:
+        raise DecorationError(f"node {exc.args[0]!r} is not decorated") from None
 
 
 def check_relators(d: SingularLinkDiagram, dec: Decoration) -> CheckResult:
     """Every arc must conjugate its start decoration to its end decoration:
-    h = C(A) g C(A)^-1 with the arc oriented start -> end."""
+    h = C(A) g C(A)^-1 with the arc oriented start -> end, tested as
+    C(A) g = h C(A)."""
     ensure_total(d, dec)
+    index = dec._index
     diagnostics = []
     for a in d.arcs:
-        g = dec.of_ref(a.start)
-        h = dec.of_ref(a.end)
+        g = index[a.start.node]
+        h = index[a.end.node]
         c = holonomy_word(a, dec)
-        if conjugate(c, g) != h:
+        if c * g != h * c:
             diagnostics.append(f"arc {a.id}: end decoration is not C(A) g C(A)^-1")
     return CheckResult("relators", not diagnostics, tuple(diagnostics))
 

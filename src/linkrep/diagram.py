@@ -119,6 +119,11 @@ class SingularLinkDiagram:
         return frozenset(self.hopfs)
 
     @cached_property
+    def node_ids(self) -> FrozenSet[str]:
+        """Every Hopf node and simple circle id."""
+        return self._hopf_set | self._circle_set
+
+    @cached_property
     def _partition(self) -> "ComponentPartition":
         return _connected_components(self)
 

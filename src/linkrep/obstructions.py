@@ -188,7 +188,7 @@ def divisibility_obstruction(b2: int) -> ObstructionReport:
     forces b2 divisible by four."""
     if b2 < 1:
         raise ValueError("b2 must be at least 1")
-    psq = pontryagin_square_diag([1] * b2)
+    psq = (-b2) % 4  # pontryagin_square_diag of the all-ones class, in closed form
     return ObstructionReport(psq=psq, divisibility_pass=psq == 0)
 
 
@@ -202,7 +202,7 @@ def connected_sum_obstruction(summand_b2s: Sequence[int]) -> ObstructionReport:
         raise ValueError("summand b2 values must be non-negative")
     verdicts = tuple((b, b == 0 or b % 4 == 0) for b in summand_b2s)
     failing = [b for b, ok in verdicts if not ok]
-    psq = 0 if not failing else pontryagin_square_diag([1] * failing[0])
+    psq = 0 if not failing else (-failing[0]) % 4
     return ObstructionReport(
         psq=psq, divisibility_pass=not failing, summand_verdicts=verdicts
     )

@@ -4,7 +4,11 @@ Provides the rotation element type, conjugation, involution and axis
 extraction, the dictionary between S4 (permuting the four cube diagonals) and
 the 24 cube rotations, and finite groups closed from generators, each with a
 Cayley table built on first use.  The elements a table owns know their index
-in it, so products, inverses and lookups among them are table reads.
+in it, so products, inverses, equality and lookups among them are table
+reads: two elements of one table are equal iff their indices are.  The table
+also holds the facts about single elements that searches and reports ask for
+repeatedly (the conjugation table, each involution's axis, each element's
+output form), each computed on first use, at most once per index.
 
 Composition convention, used everywhere in the package: (g * h) applies h
 first, then g.  Permutation composition follows the same convention.
@@ -18,7 +22,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .field import AxisLine, ExactScalar, Matrix3, Vector3, outer
+from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_scalar, outer
 
 
 @dataclass(frozen=True)
@@ -26,8 +30,9 @@ class RotationElement:
     """An exact special-orthogonal 3x3 matrix.
 
     An element owned by a GroupTable carries the table and its index there.
-    These are plain attributes, not fields, so they take no part in ==,
-    hash or repr, and pickling or copying drops them.
+    These are plain attributes, not fields: repr and hash ignore them, and
+    pickling or copying drops them.  Two elements of one table compare by
+    index, every other pair by matrix, which gives the same answer.
     """
 
     m: Matrix3
@@ -58,6 +63,19 @@ class RotationElement:
 
     def __reduce__(self):
         return (RotationElement._new, (self.m,))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RotationElement:
+            return NotImplemented
+        t = self._table
+        if t is not None and t is other._table:
+            return self._index == other._index
+        return self.m == other.m
+
+    # written out because a frozen dataclass keeps only an explicit __hash__;
+    # it is the value the generated one had
+    def __hash__(self) -> int:
+        return hash((self.m,))
 
     def __mul__(self, other: "RotationElement") -> "RotationElement":
         t = self._table
@@ -113,7 +131,15 @@ def is_involution(g: RotationElement) -> bool:
 
 
 def axis_of_involution(g: RotationElement) -> AxisLine:
-    """The fixed line of a pi-rotation: any nonzero column of g + I."""
+    """The fixed line of a pi-rotation: any nonzero column of g + I.  The
+    axis of an element a table owns is computed once, by the table."""
+    t = g._table
+    if t is not None:
+        return t.axis(g._index)
+    return _axis(g)
+
+
+def _axis(g: RotationElement) -> AxisLine:
     if not is_involution(g):
         raise ValueError("element is not an involution")
     shifted = g.m + Matrix3.identity()
@@ -272,6 +298,24 @@ def rot(cycles: str) -> RotationElement:
     return perm_to_rotation(CubePermutation.parse(cycles))
 
 
+def output_form(g: RotationElement) -> tuple:
+    """How reports print g: ("perm", its cycle notation) for a cube
+    rotation, else ("matrix", its nine entries in row-major order as exact
+    strings).  The form of an element a table owns is computed once, by the
+    table."""
+    t = g._table
+    if t is not None:
+        return t.output_form(g._index)
+    return _output_form(g)
+
+
+def _output_form(g: RotationElement) -> tuple:
+    perm = rotation_to_perm(g)
+    if perm is not None:
+        return ("perm", perm.cycle_str())
+    return ("matrix", tuple(format_scalar(e) for row in g.m.rows for e in row))
+
+
 # ---------------------------------------------------------------------------
 # finite rotation groups
 # ---------------------------------------------------------------------------
@@ -282,7 +326,16 @@ GROUP_SIZE_LIMIT = 200
 @dataclass(frozen=True)
 class GroupTable:
     """Cayley table of a finite rotation group.  Indices follow sort_key
-    order, so comparing index tuples compares element tuples."""
+    order, so comparing index tuples compares element tuples.
+
+    The table owns its elements (each knows its index here), and two of them
+    are equal iff their indices are.  Besides the fields, built with the
+    table, it holds per-index data computed on first use, at most once per
+    index and for as long as the table lives:
+      conj[c][g]        the conjugation table;
+      axis(i)           the AxisLine of the involution elements[i];
+      output_form(i)    how reports print elements[i] (see output_form).
+    """
 
     elements: tuple
     index: dict  # sort_key -> index
@@ -297,6 +350,38 @@ class GroupTable:
         if g._table is self:
             return g._index
         return self.index.get(g.sort_key())
+
+    @cached_property
+    def conj(self) -> tuple:
+        """conj[c][g] = index of elements[c] * elements[g] * elements[c]^-1."""
+        mul, inv = self.mul, self.inv
+        return tuple(
+            tuple(mul[row[g]][inv[c]] for g in range(len(row)))
+            for c, row in enumerate(mul)
+        )
+
+    @cached_property
+    def _axes(self) -> list:
+        return [None] * len(self.elements)
+
+    @cached_property
+    def _forms(self) -> list:
+        return [None] * len(self.elements)
+
+    def axis(self, i: int) -> AxisLine:
+        """The axis of the involution elements[i] (ValueError otherwise)."""
+        axis = self._axes[i]
+        if axis is None:
+            axis = self._axes[i] = _axis(self.elements[i])
+        return axis
+
+    def output_form(self, i: int) -> tuple:
+        """output_form(elements[i]); its strings are immutable, so callers
+        share it safely."""
+        form = self._forms[i]
+        if form is None:
+            form = self._forms[i] = _output_form(self.elements[i])
+        return form
 
 
 def _close(gens: Sequence[RotationElement]) -> GroupTable:

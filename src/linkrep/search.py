@@ -15,11 +15,17 @@ predicate, and a failing branch is pruned.  The solutions and their order
 are the same; the leaves are then exactly the solutions, each still
 re-verified by the public checks.
 
+Classes are counted one orbit at a time (the orbit algorithm, Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, ch. 4): each distinct index
+tuple not yet seen has its whole conjugation orbit in the group read from
+the table's conjugation table; the orbit's members are marked seen and its
+minimum kept.  That takes |G| conjugates per orbit, not per solution.
+
 Solution tuples of pi-rotations are compared up to simultaneous rotation via
 an exact invariant of their axis configuration: the pairwise squared-cosine
 matrix plus the sign pattern of the Gram entries and of all axis triple
 products, minimized over independent per-axis sign flips.  It is computed
-once per conjugacy orbit in the group.
+once per conjugacy orbit in the group, from the axes the table holds.
 """
 
 from __future__ import annotations
@@ -140,7 +146,7 @@ def enumerate_valid_decorations(
 
     nodes = _node_order(d)
     table = opts.group.table
-    elements, mult, inv = table.elements, table.mul, table.inv
+    elements, inv, conj = table.elements, table.inv, table.conj
     # Hopf nodes carry pi-rotations (check_sw rejects anything else)
     domains = {node: list(range(len(elements))) for node in d.circles}
     domains.update({node: list(table.involutions) for node in d.hopfs})
@@ -161,9 +167,6 @@ def enumerate_valid_decorations(
     node_names = sorted(domains)
     solutions: List[Tuple[tuple, Decoration]] = []
 
-    def conj(c: int, g: int) -> int:
-        return mult[mult[c][g]][inv[c]]
-
     def propagate(trail: List[str]) -> bool:
         """Force endpoints through fully-worded arcs that mention a newly
         assigned node, extending the trail; False on contradiction."""
@@ -176,16 +179,16 @@ def enumerate_valid_decorations(
                 g = assignment.get(a.start.node)
                 h = assignment.get(a.end.node)
                 if g is not None and h is not None:
-                    if conj(c, g) != h:
+                    if conj[c][g] != h:
                         return False
                 elif g is not None:
-                    forced = conj(c, g)
+                    forced = conj[c][g]
                     if forced not in allowed_sets[a.end.node]:
                         return False
                     assignment[a.end.node] = forced
                     trail.append(a.end.node)
                 elif h is not None:
-                    forced = conj(inv[c], h)
+                    forced = conj[inv[c]][h]
                     if forced not in allowed_sets[a.start.node]:
                         return False
                     assignment[a.start.node] = forced
@@ -322,19 +325,22 @@ def _orbit_minima(
 ) -> set:
     """The distinct orbit minima of element tuples under simultaneous
     conjugation, as index tuples; index order is sort_key order, so the
-    minima are exact."""
-    mul, inv = table.mul, table.inv
-    reps = set()
+    minima are exact.  Each orbit is swept once, from the first of its
+    tuples met."""
+    index_tuples = set()
     for elements in tuples:
-        idx = [table.index_of(g) for g in elements]
+        idx = tuple(table.index_of(g) for g in elements)
         if None in idx:
             raise ValueError("decoration has an element outside the group")
-        reps.add(
-            min(
-                tuple(mul[mul[c][g]][inv[c]] for g in idx)
-                for c in range(len(mul))
-            )
-        )
+        index_tuples.add(idx)
+    seen = set()
+    reps = set()
+    for idx in index_tuples:
+        if idx in seen:
+            continue
+        orbit = {tuple(row[g] for g in idx) for row in table.conj}
+        seen |= orbit
+        reps.add(min(orbit))
     return reps
 
 

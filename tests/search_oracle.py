@@ -1,9 +1,10 @@
 """Reference search for differential tests: the exhaustive backtracking
 that linkrep.search replaced.  Propagation rescans every arc of the diagram
 until nothing changes, and the Stiefel-Whitney condition is left to the
-public re-verification of each leaf."""
+public re-verification of each leaf.  Also the per-solution orbit minima
+that the orbit-at-a-time count replaced."""
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from linkrep.conditions import (
     Decoration,
@@ -13,6 +14,7 @@ from linkrep.conditions import (
     check_sw,
 )
 from linkrep.diagram import ArcBand, SingularLinkDiagram
+from linkrep.rotation import GroupTable, RotationElement
 from linkrep.search import SearchOptions, StructuralConditionError
 
 
@@ -102,3 +104,22 @@ def reference_enumerate(d: SingularLinkDiagram, opts: SearchOptions) -> List[Dec
     descend()
     solutions.sort(key=lambda pair: pair[0])
     return [dec for _, dec in solutions]
+
+
+def reference_orbit_minima(
+    tuples: Sequence[Sequence[RotationElement]], table: GroupTable
+) -> set:
+    """The orbit minimum of every tuple, each conjugated by every element."""
+    mul, inv = table.mul, table.inv
+    reps = set()
+    for elements in tuples:
+        idx = [table.index_of(g) for g in elements]
+        if None in idx:
+            raise ValueError("decoration has an element outside the group")
+        reps.add(
+            min(
+                tuple(mul[mul[c][g]][inv[c]] for g in idx)
+                for c in range(len(mul))
+            )
+        )
+    return reps

@@ -5,7 +5,15 @@ import pytest
 
 import linkrep.cli
 import linkrep.conditions
-from linkrep.cli import main
+from linkrep.cli import _element_json, main
+from linkrep.field import format_scalar
+from linkrep.rotation import (
+    RotationElement,
+    icosahedral_group,
+    octahedral_group,
+    preset_group,
+    rotation_to_perm,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REF1 = str(FIXTURES / "ref1.sld")
@@ -212,6 +220,67 @@ class TestSearch:
         for sol in out["search"]["solutions"]:
             for node, element in sol.items():
                 assert "perm" in element or "matrix" in element
+
+
+class TestElementJson:
+    @staticmethod
+    def uncached(g):
+        perm = rotation_to_perm(g)
+        if perm is not None:
+            return {"perm": perm.cycle_str()}
+        return {"matrix": [format_scalar(e) for row in g.m.rows for e in row]}
+
+    def test_cached_form_equals_the_computation(self):
+        for name in ("tetrahedral", "octahedral", "icosahedral"):
+            for g in preset_group(name).table.elements:
+                want = self.uncached(g)
+                assert _element_json(g) == want
+                assert _element_json(RotationElement.of(g.m.rows)) == want
+
+    def test_callers_get_fresh_objects(self):
+        g = next(g for g in icosahedral_group().table.elements if rotation_to_perm(g) is None)
+        first = _element_json(g)
+        want = self.uncached(g)
+        assert first == want
+        first["matrix"][0] = "junk"
+        first["extra"] = 1
+        assert _element_json(g) == want
+        h = octahedral_group().table.elements[5]
+        _element_json(h)["perm"] = "junk"
+        assert _element_json(h) == self.uncached(h)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call sees another's
+    arguments."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        run(capsys, "obstruct", "--b2", "4")
+        builds = []
+        build = linkrep.cli.build_parser
+        monkeypatch.setattr(linkrep.cli, "build_parser", lambda: builds.append(1) or build())
+        run(capsys, "obstruct", "--b2", "4")
+        run(capsys, "check", REF1)
+        assert builds == []
+
+    def test_group_option_does_not_leak(self, capsys):
+        _, octahedral, _ = run(capsys, "search", COMMUTING, "--group", "octahedral")
+        _, icosahedral, _ = run(capsys, "search", COMMUTING, "--group", "icosahedral")
+        assert icosahedral != octahedral
+        _, default, _ = run(capsys, "search", COMMUTING)  # the document's group
+        assert default == octahedral
+
+    def test_all_sw_paths_does_not_leak(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 1)
+        f = tmp_path / "two_paths.sld"
+        f.write_text(
+            Path(COMMUTING).read_text() + "arc A3 from H.a slot 1 to H.b slot 1 word C:+\n"
+        )
+        for _ in range(2):
+            _, out, _ = run(capsys, "check", str(f), "--all-sw-paths")
+            assert out["checks"]["sw"]["diagnostics"]
+            _, out, _ = run(capsys, "check", str(f))
+            assert out["checks"]["sw"]["diagnostics"] == []
 
 
 class TestObstruct:

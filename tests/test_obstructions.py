@@ -252,3 +252,29 @@ class TestSplittingClosedForm:
         assert main(["bundle", "--b1", "1", "--b2", "4", "--c2", "1000000"]) == 0
         assert time.perf_counter() - start < 1.0
         assert '"irreducible_locked": false' in capsys.readouterr().out
+
+
+class TestHugeB2:
+    def test_obstruct_is_prompt(self, capsys):
+        from linkrep.cli import main
+
+        main(["obstruct", "--b2", "4"])  # the parser is built outside the clock
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["obstruct", "--b2", str(10**18)]) == 0
+        assert main(["obstruct", "--summands", f"3,{10**18 + 1}"]) == 1
+        assert time.perf_counter() - start < 0.1
+        first, second = capsys.readouterr().out.split("}\n{")
+        assert '"psq": 0' in first
+        assert '"psq": 1' in second  # the first failing summand, b2 = 3
+
+
+class TestClosedFormResidue:
+    def test_equals_the_all_ones_class(self):
+        from linkrep.cli import _diagram_obstructions
+
+        for b2 in range(1, 40):
+            psq = pontryagin_square_diag([1] * b2)
+            assert divisibility_obstruction(b2).psq == psq
+            assert connected_sum_obstruction([4, b2]).psq == (0 if b2 % 4 == 0 else psq)
+            assert _diagram_obstructions(b2)["psq"] == psq

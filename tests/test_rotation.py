@@ -3,6 +3,8 @@ import pickle
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from linkrep.rotation import (
     icosahedral_group,
     is_involution,
     octahedral_group,
+    output_form,
     perm_to_rotation,
     preset_group,
     rot,
@@ -345,3 +348,90 @@ class TestTableElements:
         assert icosahedral_group().elements[0] in oct_  # a coordinate flip
         assert rot("(12)") not in tetrahedral_group()
         assert len(calls) == 2
+
+
+TAGGED = [g for name in PRESETS for g in preset_group(name).table.elements]
+COPIES = {
+    "owned": lambda g: g,
+    "pickled": lambda g: pickle.loads(pickle.dumps(g)),
+    "of_matrix": lambda g: RotationElement.of(g.m.rows),
+}
+
+
+class TestPerIndexFacts:
+    """What a GroupTable knows about single elements: equality by index, the
+    conjugation table and the involution axes, each computed once."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        i=st.integers(0, len(TAGGED) - 1),
+        j=st.integers(0, len(TAGGED) - 1),
+        same=st.booleans(),
+        copy_a=st.sampled_from(sorted(COPIES)),
+        copy_b=st.sampled_from(sorted(COPIES)),
+    )
+    def test_equality_and_hash_agree_with_matrix_equality(self, i, j, same, copy_a, copy_b):
+        a = COPIES[copy_a](TAGGED[i])
+        b = COPIES[copy_b](TAGGED[i if same else j])
+        assert (a == b) is (a.m == b.m)
+        assert (a != b) is (a.m != b.m)
+        assert hash(a) == hash((a.m,)) and hash(b) == hash((b.m,))
+        assert (a in {b}) is (a.m == b.m)
+
+    def test_elements_of_one_table_compare_by_index(self, monkeypatch):
+        tables = [preset_group(name).table for name in PRESETS]
+        untagged = RotationElement.of(rot("(12)").m.rows)
+        compared = []
+        matrix_eq = Matrix3.__eq__
+        monkeypatch.setattr(
+            Matrix3, "__eq__", lambda x, y: compared.append(1) or matrix_eq(x, y)
+        )
+        for t in tables:
+            for i, a in enumerate(t.elements):
+                for j, b in enumerate(t.elements):
+                    assert (a == b) is (i == j)
+        assert compared == []
+        # different tables, or no table, compare matrices
+        assert tetrahedral_group().table.elements[0] == octahedral_group().elements[0]
+        assert untagged == rot("(12)")
+        assert len(compared) == 2
+
+    def test_conjugation_table(self):
+        for name in PRESETS:
+            t = preset_group(name).table
+            for c, x in enumerate(t.elements):
+                for g, y in enumerate(t.elements):
+                    assert t.elements[t.conj[c][g]] == RotationElement(
+                        (x.m * y.m) * x.m.transpose()
+                    )
+
+    def test_axes_equal_the_matrix_computation(self):
+        for name in PRESETS:
+            t = preset_group(name).table
+            for i, g in enumerate(t.elements):
+                untagged = RotationElement.of(g.m.rows)
+                if i in t.involutions:
+                    assert axis_of_involution(g) == axis_of_involution(untagged)
+                    assert t.axis(i) is axis_of_involution(g)
+                else:
+                    with pytest.raises(ValueError):
+                        axis_of_involution(g)
+
+    def test_each_fact_is_computed_once_per_index(self, monkeypatch):
+        import linkrep.rotation
+
+        group = generate_group([rot("(12)"), rot("(1234)")])  # a fresh table
+        t = group.table
+        calls = {"_axis": [], "_output_form": []}
+        for name, seen in calls.items():
+            fn = getattr(linkrep.rotation, name)
+            monkeypatch.setattr(
+                linkrep.rotation, name, lambda g, fn=fn, seen=seen: seen.append(g) or fn(g)
+            )
+        for _ in range(3):
+            for i, g in enumerate(t.elements):
+                assert output_form(g) == t.output_form(i)
+                if i in t.involutions:
+                    assert axis_of_involution(g) == t.axis(i)
+        assert len(calls["_output_form"]) == len(set(calls["_output_form"])) == 24
+        assert len(calls["_axis"]) == len(set(calls["_axis"])) == 9

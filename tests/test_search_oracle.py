@@ -1,5 +1,6 @@
 """The search against the exhaustive reference search (tests/search_oracle.py),
-and its Stiefel-Whitney pruning against check_sw."""
+its Stiefel-Whitney pruning against check_sw, and the orbit-at-a-time class
+count against the per-solution reference."""
 
 import random
 from collections import Counter
@@ -21,6 +22,7 @@ from linkrep.diagram import SingularLinkDiagram
 from linkrep.rotation import icosahedral_group, octahedral_group, rot, tetrahedral_group
 from linkrep.search import (
     SearchOptions,
+    _orbit_minima,
     _sw_passes,
     count_classes,
     enumerate_valid_decorations,
@@ -29,7 +31,7 @@ from linkrep.sldfile import parse
 
 import search_oracle
 from conftest import FIXTURES, hopf_ring, random_diagram, search_space
-from search_oracle import reference_enumerate
+from search_oracle import reference_enumerate, reference_orbit_minima
 
 GROUPS = [octahedral_group(), icosahedral_group(), tetrahedral_group()]
 DEDUP_MODES = ("none", "group_conjugacy", "so3_canonical")
@@ -63,9 +65,24 @@ def assert_matches_reference(d: SingularLinkDiagram, group) -> None:
         # pruning leaves only solutions for the public re-verification;
         # without it the leaves are the reference's
         assert Counter(leaves) == Counter(got if prune_sw else want_leaves)
+    assert_orbit_minima_match(got, d.hopfs, group)
+
+
+def assert_orbit_minima_match(solutions, hopf_order, group) -> None:
+    """The orbit-at-a-time minima and class counts equal the per-solution
+    reference's, on whole decorations and Hopf tuples, and on a subset of
+    the solutions that is not closed under conjugation."""
+    table = group.table
+    whole = [[g for _, g in dec.mapping] for dec in solutions]
+    hopf = [[dec[h] for h in hopf_order] for dec in solutions]
+    for tuples in (whole, hopf, whole[::3], hopf[1::2]):
+        assert _orbit_minima(tuples, table) == reference_orbit_minima(tuples, table)
     for mode in DEDUP_MODES:
         opts = SearchOptions(group, mode)
-        assert count_classes(got, d.hopfs, opts) == count_classes(want, d.hopfs, opts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linkrep.search, "_orbit_minima", reference_orbit_minima)
+            want = count_classes(solutions, hopf_order, opts)
+        assert count_classes(solutions, hopf_order, opts) == want
 
 
 class TestDifferential:
