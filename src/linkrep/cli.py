@@ -33,7 +33,7 @@ from .obstructions import (
     connected_sum_obstruction,
     divisibility_obstruction,
 )
-from .rotation import RotationElement, output_form, preset_group
+from .rotation import GroupTable, RotationElement, preset_group
 from .search import (
     SearchOptions,
     StructuralConditionError,
@@ -49,10 +49,10 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _element_json(g: RotationElement) -> Dict:
+def _element_json(table: GroupTable, g: RotationElement) -> Dict:
     """A fresh dict, {"perm": cycles} or {"matrix": [nine entries]}, built
-    from the form the element's table computed once."""
-    kind, value = output_form(g)
+    from the form the table computed once for g."""
+    kind, value = table.forms[table.index_of(g)]
     return {kind: list(value) if kind == "matrix" else value}
 
 
@@ -201,11 +201,12 @@ def cmd_search(args) -> int:
     report = _report_skeleton()
     report["wellformed"] = True
     _fill_diagram_fields(report, d)
+    table = group.table
     report["search"] = {
         "raw_solutions": len(solutions),
         "classes": classes,
         "solutions": [
-            {node: _element_json(g) for node, g in dec.mapping} for dec in solutions
+            {node: _element_json(table, g) for node, g in dec.mapping} for dec in solutions
         ],
     }
     if cache_file is not None:

@@ -106,11 +106,7 @@ def _signed_product(factors: Iterable[Tuple[RotationElement, int]]) -> RotationE
 def holonomy_word(a: ArcBand, dec: Decoration) -> RotationElement:
     """C(A): the ordered product of decorations of the discs the arc crosses,
     raised to the crossing signs, leftmost factor first."""
-    index = dec._index
-    try:
-        return _signed_product((index[ref.node], sign) for ref, sign in a.word)
-    except KeyError as exc:
-        raise DecorationError(f"node {exc.args[0]!r} is not decorated") from None
+    return _signed_product((dec[ref.node], sign) for ref, sign in a.word)
 
 
 def check_relators(d: SingularLinkDiagram, dec: Decoration) -> CheckResult:

@@ -8,7 +8,7 @@ in it, so products, inverses, equality and lookups among them are table
 reads: two elements of one table are equal iff their indices are.  The table
 also holds the facts about single elements that searches and reports ask for
 repeatedly (the conjugation table, each involution's axis, each element's
-output form), each computed on first use, at most once per index.
+output form), each built in one pass on first use, so at most once per index.
 
 Composition convention, used everywhere in the package: (g * h) applies h
 first, then g.  Permutation composition follows the same convention.
@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_scalar, outer
@@ -132,11 +133,10 @@ def is_involution(g: RotationElement) -> bool:
 
 def axis_of_involution(g: RotationElement) -> AxisLine:
     """The fixed line of a pi-rotation: any nonzero column of g + I.  The
-    axis of an element a table owns is computed once, by the table."""
+    axis of an involution a table owns is computed once, by the table."""
     t = g._table
-    if t is not None:
-        return t.axis(g._index)
-    return _axis(g)
+    axis = None if t is None else t.axes.get(g._index)
+    return _axis(g) if axis is None else axis
 
 
 def _axis(g: RotationElement) -> AxisLine:
@@ -298,18 +298,10 @@ def rot(cycles: str) -> RotationElement:
     return perm_to_rotation(CubePermutation.parse(cycles))
 
 
-def output_form(g: RotationElement) -> tuple:
+def _output_form(g: RotationElement) -> tuple:
     """How reports print g: ("perm", its cycle notation) for a cube
     rotation, else ("matrix", its nine entries in row-major order as exact
-    strings).  The form of an element a table owns is computed once, by the
-    table."""
-    t = g._table
-    if t is not None:
-        return t.output_form(g._index)
-    return _output_form(g)
-
-
-def _output_form(g: RotationElement) -> tuple:
+    strings).  Only GroupTable.forms calls it."""
     perm = rotation_to_perm(g)
     if perm is not None:
         return ("perm", perm.cycle_str())
@@ -330,11 +322,13 @@ class GroupTable:
 
     The table owns its elements (each knows its index here), and two of them
     are equal iff their indices are.  Besides the fields, built with the
-    table, it holds per-index data computed on first use, at most once per
-    index and for as long as the table lives:
-      conj[c][g]        the conjugation table;
-      axis(i)           the AxisLine of the involution elements[i];
-      output_form(i)    how reports print elements[i] (see output_form).
+    table, it holds data about single elements, each built in one pass on
+    first use (so at most once per index), immutable, and kept as long as
+    the table lives:
+      conj[c][g]   the conjugation table;
+      axes[i]      the AxisLine of the involution elements[i];
+      forms[i]     how reports print elements[i]: ("perm", cycles) for a
+                   cube rotation, else ("matrix", nine exact strings).
     """
 
     elements: tuple
@@ -361,27 +355,13 @@ class GroupTable:
         )
 
     @cached_property
-    def _axes(self) -> list:
-        return [None] * len(self.elements)
+    def axes(self) -> MappingProxyType:
+        """Involution index -> its axis."""
+        return MappingProxyType({i: _axis(self.elements[i]) for i in self.involutions})
 
     @cached_property
-    def _forms(self) -> list:
-        return [None] * len(self.elements)
-
-    def axis(self, i: int) -> AxisLine:
-        """The axis of the involution elements[i] (ValueError otherwise)."""
-        axis = self._axes[i]
-        if axis is None:
-            axis = self._axes[i] = _axis(self.elements[i])
-        return axis
-
-    def output_form(self, i: int) -> tuple:
-        """output_form(elements[i]); its strings are immutable, so callers
-        share it safely."""
-        form = self._forms[i]
-        if form is None:
-            form = self._forms[i] = _output_form(self.elements[i])
-        return form
+    def forms(self) -> tuple:
+        return tuple(map(_output_form, self.elements))
 
 
 def _close(gens: Sequence[RotationElement]) -> GroupTable:

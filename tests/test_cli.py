@@ -8,7 +8,6 @@ import linkrep.conditions
 from linkrep.cli import _element_json, main
 from linkrep.field import format_scalar
 from linkrep.rotation import (
-    RotationElement,
     icosahedral_group,
     octahedral_group,
     preset_group,
@@ -232,22 +231,23 @@ class TestElementJson:
 
     def test_cached_form_equals_the_computation(self):
         for name in ("tetrahedral", "octahedral", "icosahedral"):
-            for g in preset_group(name).table.elements:
-                want = self.uncached(g)
-                assert _element_json(g) == want
-                assert _element_json(RotationElement.of(g.m.rows)) == want
+            table = preset_group(name).table
+            for g in table.elements:
+                assert _element_json(table, g) == self.uncached(g)
 
     def test_callers_get_fresh_objects(self):
-        g = next(g for g in icosahedral_group().table.elements if rotation_to_perm(g) is None)
-        first = _element_json(g)
+        table = icosahedral_group().table
+        g = next(g for g in table.elements if rotation_to_perm(g) is None)
+        first = _element_json(table, g)
         want = self.uncached(g)
         assert first == want
         first["matrix"][0] = "junk"
         first["extra"] = 1
-        assert _element_json(g) == want
-        h = octahedral_group().table.elements[5]
-        _element_json(h)["perm"] = "junk"
-        assert _element_json(h) == self.uncached(h)
+        assert _element_json(table, g) == want
+        table = octahedral_group().table
+        h = table.elements[5]
+        _element_json(table, h)["perm"] = "junk"
+        assert _element_json(table, h) == self.uncached(h)
 
 
 class TestParserReuse:

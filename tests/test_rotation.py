@@ -20,7 +20,6 @@ from linkrep.rotation import (
     icosahedral_group,
     is_involution,
     octahedral_group,
-    output_form,
     perm_to_rotation,
     preset_group,
     rot,
@@ -412,7 +411,7 @@ class TestPerIndexFacts:
                 untagged = RotationElement.of(g.m.rows)
                 if i in t.involutions:
                     assert axis_of_involution(g) == axis_of_involution(untagged)
-                    assert t.axis(i) is axis_of_involution(g)
+                    assert t.axes[i] is axis_of_involution(g)
                 else:
                     with pytest.raises(ValueError):
                         axis_of_involution(g)
@@ -430,8 +429,8 @@ class TestPerIndexFacts:
             )
         for _ in range(3):
             for i, g in enumerate(t.elements):
-                assert output_form(g) == t.output_form(i)
+                assert t.forms[i][0] == "perm"
                 if i in t.involutions:
-                    assert axis_of_involution(g) == t.axis(i)
+                    assert axis_of_involution(g) is t.axes[i]
         assert len(calls["_output_form"]) == len(set(calls["_output_form"])) == 24
         assert len(calls["_axis"]) == len(set(calls["_axis"])) == 9
