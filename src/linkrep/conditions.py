@@ -18,6 +18,7 @@ from .diagram import (
     ArcBand,
     DiagramError,
     SingularLinkDiagram,
+    Word,
     check_selfint_structure,
     ribbon_genus,
     triple_arc_crosscheck,
@@ -47,9 +48,6 @@ class Decoration:
     @staticmethod
     def of(d: Dict[str, RotationElement]) -> "Decoration":
         return Decoration(tuple(sorted(d.items())))
-
-    def as_dict(self) -> Dict[str, RotationElement]:
-        return dict(self.mapping)
 
     def __getitem__(self, node: str) -> RotationElement:
         try:
@@ -103,10 +101,15 @@ def _signed_product(factors: Iterable[Tuple[RotationElement, int]]) -> RotationE
     return RotationElement.identity() if out is None else out
 
 
+def _word_product(word: Word, dec: Decoration) -> RotationElement:
+    """The product of the decorations of a signed word, leftmost first."""
+    return _signed_product((dec[ref.node], sign) for ref, sign in word)
+
+
 def holonomy_word(a: ArcBand, dec: Decoration) -> RotationElement:
     """C(A): the ordered product of decorations of the discs the arc crosses,
     raised to the crossing signs, leftmost factor first."""
-    return _signed_product((dec[ref.node], sign) for ref, sign in a.word)
+    return _word_product(a.word, dec)
 
 
 def check_relators(d: SingularLinkDiagram, dec: Decoration) -> CheckResult:
@@ -161,9 +164,10 @@ def _simple_path_products(
     dst: str,
     holonomy: Callable[[ArcBand], RotationElement],
 ) -> Iterator[RotationElement]:
-    """The product C(A_1)^(+-1) C(A_2)^(+-1) ... of every simple path of
-    (arc, direction) steps from src to dst, depth first, leftmost factor
-    first; arcs traversed against orientation invert.
+    """The transport C(A_k)^(+-1) ... C(A_1)^(+-1) along every simple path
+    A_1, ..., A_k of (arc, direction) steps from src to dst, depth first;
+    arcs traversed against orientation invert.  The order is that of the
+    diagram's member_words: each step multiplies on the left.
 
     Products fold along the walk: a prefix shared with the previous path is
     not multiplied again, and prefixes of no path to dst are not multiplied.
@@ -200,7 +204,7 @@ def _simple_path_products(
         for i in range(len(folded), len(steps)):
             a, direction = steps[i]
             f = holonomy(a) if direction == 1 else holonomy(a).inverse()
-            folded.append(folded[-1] * f if folded else f)
+            folded.append(f * folded[-1] if folded else f)
         yield folded[-1]
         steps.pop()
         del folded[len(steps) :]
@@ -209,13 +213,15 @@ def _simple_path_products(
 def check_sw(
     d: SingularLinkDiagram, dec: Decoration, exhaustive_paths: bool = False
 ) -> CheckResult:
-    """For every Hopf node with decoration g: g is a pi-rotation and the path
-    product P from member a to member b avoids {I, g}.  P commuting with g is
-    asserted and any violation surfaced as an internal inconsistency.  With
+    """For every Hopf node with decoration g: g is a pi-rotation and the
+    transport P = C(A_k)^(+-1) ... C(A_1)^(+-1) along the shortest member
+    path A_1, ..., A_k from member a to member b avoids {I, g}.  P is the
+    product of the diagram's member word.  (When the relators hold, P g P^-1
+    is g, so P commutes with g; tests pin that theorem.)  With
     exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
-    checked for a verdict differing from the shortest path's.  Each arc's
-    holonomy is computed at most once per call; the member paths and the
-    adjacency are the diagram's own, built once per diagram."""
+    checked for a verdict differing from the shortest path's; there each
+    arc's holonomy is computed at most once per call.  The member words and
+    the adjacency are the diagram's own, built once per diagram."""
     ensure_total(d, dec)
     identity = RotationElement.identity()
     holonomies: Dict[str, RotationElement] = {}
@@ -234,21 +240,15 @@ def check_sw(
             diagnostics.append(f"hopf {h}: decoration is not a pi-rotation")
             passed = False
             continue
-        path = d.member_paths[h]
-        if path is None:
+        word = d.member_words[h]
+        if word is None:
             raise DiagramError(
                 f"hopf {h}: no arc path between members (selfint precondition)"
             )
-        # leftmost factor first, as in _simple_path_products
-        p = _signed_product((holonomy(a), direction) for a, direction in path)
-        verdict = p != identity and p != g
-        if not verdict:
+        p = _word_product(word, dec)
+        if p == identity or p == g:
             diagnostics.append(f"hopf {h}: path product lies in {{I, g}}")
             passed = False
-        if p * g != g * p:
-            diagnostics.append(
-                f"hopf {h}: internal inconsistency: path product does not commute with g"
-            )
         if exhaustive_paths:
             products = _simple_path_products(d.adjacency, f"{h}.a", f"{h}.b", holonomy)
             verdicts = set()

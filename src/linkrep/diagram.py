@@ -75,7 +75,7 @@ class SingularLinkDiagram:
     violation found by `validate`.
 
     The diagram is immutable, so the structure that checks and searches read
-    (node-id sets, circle adjacency, member paths, watch lists) is derived
+    (node-id sets, circle adjacency, member words, watch lists) is derived
     on first use and cached on the instance, as read-only mappings of
     tuples: every later caller shares it."""
 
@@ -133,13 +133,20 @@ class SingularLinkDiagram:
         return _adjacency(self)
 
     @cached_property
-    def member_paths(self) -> Mapping[str, Optional["ArcPath"]]:
-        """Hopf node -> its shortest member path from h.a to h.b, or None
-        when the members are not joined."""
+    def member_words(self) -> Mapping[str, Optional["Word"]]:
+        """Hopf node -> the signed word whose product carries h.a's
+        decoration to h.b along the shortest member path A_1, ..., A_k, or
+        None when the members are not joined.  An arc conjugates its start
+        decoration by C(A) into its end decoration, so the product is
+        C(A_k)^(+-1) ... C(A_1)^(+-1): the arc words in reverse path order,
+        an arc walked against its orientation contributing its inverted
+        word."""
         adj = self.adjacency
-        return MappingProxyType(
-            {h: _shortest_arc_path(adj, f"{h}.a", f"{h}.b") for h in self.hopfs}
-        )
+        words = {}
+        for h in self.hopfs:
+            path = _shortest_arc_path(adj, f"{h}.a", f"{h}.b")
+            words[h] = None if path is None else _transport_word(path)
+        return MappingProxyType(words)
 
     @cached_property
     def arcs_mentioning(self) -> Mapping[str, Tuple[ArcBand, ...]]:
@@ -195,6 +202,7 @@ def validate(d: SingularLinkDiagram) -> List[str]:
 
 Adjacency = Mapping[str, Tuple[Tuple[ArcBand, int], ...]]
 ArcPath = Tuple[Tuple[ArcBand, int], ...]  # (arc, direction) steps
+Word = Tuple[Tuple[CircleRef, int], ...]  # signed letters, leftmost first
 
 
 def _adjacency(d: SingularLinkDiagram) -> Adjacency:
@@ -233,6 +241,14 @@ def _shortest_arc_path(adj: Adjacency, src: str, dst: str) -> Optional[ArcPath]:
                 return tuple(reversed(path))
             queue.append(nxt)
     return None
+
+
+def _transport_word(path: ArcPath) -> Word:
+    """The word of C(A_k)^(+-1) ... C(A_1)^(+-1) for the path A_1, ..., A_k."""
+    word: List[Tuple[CircleRef, int]] = []
+    for a, direction in reversed(path):
+        word += a.word if direction == 1 else [(r, -s) for r, s in reversed(a.word)]
+    return tuple(word)
 
 
 @dataclass(frozen=True)

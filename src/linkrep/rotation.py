@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -214,15 +213,6 @@ class CubePermutation:
         for i in range(1, 5):
             inv[self(i) - 1] = i
         return CubePermutation(tuple(inv))
-
-    def is_even(self) -> bool:
-        inversions = sum(
-            1
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if self.images[i] > self.images[j]
-        )
-        return inversions % 2 == 0
 
     def cycle_str(self) -> str:
         """Canonical cycle notation: cycles by least point, fixed points omitted."""
@@ -467,16 +457,9 @@ def octahedral_group() -> FiniteRotationGroup:
 
 @lru_cache(maxsize=1)
 def tetrahedral_group() -> FiniteRotationGroup:
-    """The 12 even permutations under the cube dictionary."""
-    elems = [
-        perm_to_rotation(CubePermutation(tuple(p)))
-        for p in permutations((1, 2, 3, 4))
-        if CubePermutation(tuple(p)).is_even()
-    ]
-    elems.sort(key=lambda g: g.sort_key())
-    return FiniteRotationGroup(
-        tuple(elems), "tetrahedral", (rot("(123)"), rot("(12)(34)"))
-    )
+    """The 12 rotations of the tetrahedron, i.e. A4 acting on the cube
+    diagonals, generated by (123) and (12)(34) under the cube dictionary."""
+    return generate_group([rot("(123)"), rot("(12)(34)")], "tetrahedral")
 
 
 @lru_cache(maxsize=1)

@@ -10,10 +10,11 @@ elements belong to the table, so the checks' products are table reads too.
 
 With SearchOptions.prune_sw, once every node a Hopf node's
 Stiefel-Whitney verdict depends on is assigned, the verdict is computed on
-indices along the diagram's cached member path, with check_sw's
-predicate, and a failing branch is pruned.  The solutions and their order
-are the same; the leaves are then exactly the solutions, each still
-re-verified by the public checks.
+indices: the transport P = C(A_k)^(+-1) ... C(A_1)^(+-1) along the shortest
+member path is the product of the diagram's cached member word, read like an
+arc word, and a branch where P lies in {I, g} is pruned, as check_sw rejects
+it.  The solutions and their order are the same; the leaves are then exactly
+the solutions, each still re-verified by the public checks.
 
 Classes are counted one orbit at a time (the orbit algorithm, Holt, Eick &
 O'Brien, Handbook of Computational Group Theory, ch. 4): each distinct index
@@ -41,7 +42,7 @@ from .conditions import (
     check_selfint,
     check_sw,
 )
-from .diagram import ArcBand, ArcPath, SingularLinkDiagram
+from .diagram import ArcBand, SingularLinkDiagram, Word
 from .field import (
     AxisLine,
     Matrix3,
@@ -99,33 +100,19 @@ def _node_order(d: SingularLinkDiagram) -> List[str]:
 
 
 def _word_index(
-    a: ArcBand, assignment: Dict[str, int], table: GroupTable
+    word: Word, assignment: Dict[str, int], table: GroupTable
 ) -> Optional[int]:
-    """The table index of the holonomy C(A), leftmost factor first, or None
-    while a node of the word is unassigned."""
+    """The table index of the product of a signed word (an arc's holonomy
+    C(A) or a member word), leftmost factor first, or None while a node of
+    the word is unassigned."""
     mul, inv = table.mul, table.inv
     out = table.identity
-    for ref, sign in a.word:
+    for ref, sign in word:
         g = assignment.get(ref.node)
         if g is None:
             return None
         out = mul[out][g if sign == 1 else inv[g]]
     return out
-
-
-def _sw_passes(
-    path: ArcPath, g: int, assignment: Dict[str, int], table: GroupTable
-) -> bool:
-    """check_sw's verdict for a Hopf node decorated by the involution g, on
-    table indices: the product over its member path, folded leftmost first
-    as check_sw folds it, avoids {I, g}.  Every node in the words of the
-    path's arcs must be assigned."""
-    mul, inv, e = table.mul, table.inv, table.identity
-    p = e
-    for a, direction in path:
-        c = _word_index(a, assignment, table)
-        p = mul[p][c if direction == 1 else inv[c]]
-    return p != e and p != g
 
 
 def enumerate_valid_decorations(
@@ -153,11 +140,9 @@ def enumerate_valid_decorations(
     allowed_sets = {node: set(dom) for node, dom in domains.items()}
     watchers = d.arcs_mentioning
     # a Hopf node's SW verdict is determined once the node and every node in
-    # the words of its member path are assigned: its support
-    paths = d.member_paths
-    support = {
-        h: {h, *(ref.node for a, _ in paths[h] for ref, _ in a.word)} for h in d.hopfs
-    }
+    # its member word are assigned: its support
+    words = d.member_words
+    support = {h: {h, *(ref.node for ref, _ in words[h])} for h in d.hopfs}
     sw_watchers: Dict[str, List[str]] = {node: [] for node in domains}
     for h in d.hopfs:
         for node in support[h]:
@@ -173,7 +158,7 @@ def enumerate_valid_decorations(
         i = 0
         while i < len(trail):
             for a in watchers[trail[i]]:
-                c = _word_index(a, assignment, table)
+                c = _word_index(a.word, assignment, table)
                 if c is None:
                     continue
                 g = assignment.get(a.start.node)
@@ -201,10 +186,10 @@ def enumerate_valid_decorations(
         if not opts.prune_sw:
             return True
         for h in dict.fromkeys(h for node in trail for h in sw_watchers[node]):
-            if all(node in assignment for node in support[h]) and not _sw_passes(
-                paths[h], assignment[h], assignment, table
-            ):
-                return False
+            if all(node in assignment for node in support[h]):
+                p = _word_index(words[h], assignment, table)
+                if p == table.identity or p == assignment[h]:
+                    return False
         return True
 
     def descend():

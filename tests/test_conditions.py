@@ -7,11 +7,12 @@ from contextlib import redirect_stdout
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linkrep.conditions
 import linkrep.diagram
+import linkrep.search
 from linkrep.conditions import (
     CheckResult,
     Decoration,
@@ -28,11 +29,25 @@ from linkrep.conditions import (
     run_all_checks,
 )
 from linkrep.diagram import ArcBand, CircleRef, DiagramError, SingularLinkDiagram
-from linkrep.rotation import RotationElement, conjugate, octahedral_group, rot
+from linkrep.rotation import (
+    RotationElement,
+    conjugate,
+    icosahedral_group,
+    octahedral_group,
+    rot,
+)
+from linkrep.search import SearchOptions, enumerate_valid_decorations
 
 from linkrep.sldfile import parse
 
-from conftest import random_decoration, random_diagram, ref1_decoration, ref1_diagram
+from conftest import (
+    FIXTURES,
+    random_decoration,
+    random_diagram,
+    ref1_decoration,
+    ref1_diagram,
+    search_space,
+)
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -252,14 +267,18 @@ class TestSW:
             ),
         )
         dec = Decoration.of({"h": rot("(12)"), "c": rot("(13)")})
+        # a transport that does not commute with g breaks a relator, which
+        # check_relators reports; check_sw gives its verdict and nothing more
+        assert not check_relators(d, dec).passed
         res = check_sw(d, dec)
         assert res.passed  # verdict from the shortest path alone
-        assert any("internal inconsistency" in line for line in res.diagnostics)
+        assert res.diagnostics == ()
 
     def test_noncommuting_product_flagged_although_relators_pass(self):
-        # a two-arc path h.a -> c -> h.b: the relators make the transport
-        # C(a2) C(a1) commute with g, but the path product is C(a1) C(a2),
-        # so the diagnostic is not just a symptom of a failing relator
+        # a two-arc path h.a -> c -> h.b: the relators carry g along a1 and
+        # then a2, so the transport is C(a2) C(a1) = (24)(23)(24) = (34) = g
+        # and SW fails; the fold C(a1) C(a2) = (24)(24)(23) = (23) would
+        # neither commute with g nor fail
         d = SingularLinkDiagram(
             circles=("c", "d"),
             hopfs=("h",),
@@ -272,7 +291,8 @@ class TestSW:
         dec = Decoration.of({"h": rot("(34)"), "c": rot("(23)"), "d": rot("(24)")})
         assert check_relators(d, dec).passed
         res = check_sw(d, dec)
-        assert any("internal inconsistency" in line for line in res.diagnostics)
+        assert not res.passed
+        assert res.diagnostics == ("hopf h: path product lies in {I, g}",)
 
     def test_disconnected_members_raise(self):
         d = SingularLinkDiagram(hopfs=("h",))
@@ -347,14 +367,14 @@ def doubled_chain(links: int) -> str:
 
 def _reference_path_products(d, dec, src, dst):
     """Reference: every simple member path enumerated depth first, with its
-    product folded from the first factor on its own."""
+    transport C(A_k)^(+-1) ... C(A_1)^(+-1) folded on its own."""
     adj = d.adjacency
     stack, visited = [], {src}
 
     def walk(cur):
         if cur == dst:
             yield linkrep.conditions._signed_product(
-                (holonomy_word(a, dec), direction) for a, direction in stack
+                (holonomy_word(a, dec), direction) for a, direction in reversed(stack)
             )
             return
         for a, direction in adj.get(cur, []):
@@ -403,10 +423,10 @@ class TestExhaustivePaths:
         res = check_sw(d, dec, exhaustive_paths=True)
         assert "hopf H: path-dependent verdict across simple paths" in res.diagnostics
         assert len(holonomies) == len(set(holonomies)) <= 2 * links
-        # one product per two-letter word, links - 1 for the shortest path,
-        # 2 for the commutator, and one per prefix of length >= 2 of the
-        # 2**links member paths: 4 + 3 + 2 + (4 + 8 + 16)
-        assert len(products) == links + (links - 1) + 2 + (2 ** (links + 1) - 4)
+        # one product per two-letter word, none for the shortest path (its
+        # member word is empty), and one per prefix of length >= 2 of the
+        # 2**links member paths: 4 + (4 + 8 + 16)
+        assert len(products) == links + (2 ** (links + 1) - 4)
 
     def test_member_path_longer_than_the_recursion_limit(self, monkeypatch):
         monkeypatch.setattr(linkrep.conditions, "SIMPLE_PATH_LIMIT", 2)
@@ -602,6 +622,125 @@ class TestInvariance:
         d = random_diagram(rng)
         dec = random_decoration(d, rng)
         assert _passed(_some_arcs_reversed(d, rng), dec) == _passed(d, dec)
+
+
+def _group_decoration(d, group, rng):
+    """Hopf nodes decorated by random involutions, circles by random elements."""
+    involutions = group.involutions()
+    return Decoration.of(
+        {h: rng.choice(involutions) for h in d.hopfs}
+        | {c: rng.choice(group.elements) for c in d.circles}
+    )
+
+
+def _subdivided(d, dec, rng):
+    """Split a random arc A: start -> end with word w = w1 w2 at a random
+    point, as the relators read it (end = C(w1) C(w2) g C(w2)^-1 C(w1)^-1):
+    A1 runs start -> a new circle with word w2, A2 runs that circle -> end
+    with word w1, and the circle is decorated C(w2) g C(w2)^-1."""
+    a = rng.choice(d.arcs)
+    k = rng.randint(0, len(a.word))
+    mid = CircleRef("split")
+    a1 = ArcBand(f"{a.id}s", a.start, a.start_slot, mid, 0, a.word[k:], a.twist)
+    a2 = ArcBand(f"{a.id}t", mid, 1, a.end, a.end_slot, a.word[:k])
+    d2 = SingularLinkDiagram(
+        circles=d.circles + ("split",),
+        hopfs=d.hopfs,
+        arcs=tuple(b for b in d.arcs if b is not a) + (a1, a2),
+    )
+    g = conjugate(holonomy_word(a1, dec), dec[a.start.node])
+    return d2, Decoration(dec.mapping + (("split", g),))
+
+
+def _relator_solutions(d, group):
+    """Every decoration over the group passing the relators, Hopf nodes
+    decorated by involutions: the search with its SW filter switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linkrep.search, "check_sw", lambda d, dec: CheckResult("sw", True))
+        return enumerate_valid_decorations(d, SearchOptions(group))
+
+
+def _assert_transports_commute(d, group):
+    """Every member-word product commutes with its Hopf decoration on every
+    solution of the relators; returns the number of solutions."""
+    solutions = _relator_solutions(d, group)
+    for dec in solutions:
+        assert check_relators(d, dec).passed
+        for h in d.hopfs:
+            p = linkrep.conditions._word_product(d.member_words[h], dec)
+            assert p * dec[h] == dec[h] * p
+    return len(solutions)
+
+
+TRANSPORT_GROUPS = [octahedral_group(), icosahedral_group()]
+
+
+class TestTransportOrder:
+    # the SW product is the transport C(A_k)^(+-1) ... C(A_1)^(+-1) along
+    # the member path, the order in which the relators carry g from h.a on
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(TRANSPORT_GROUPS))
+    def test_member_transport_commutes_when_relators_pass(self, seed, group):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        while not (
+            d.hopfs
+            and check_selfint(d).passed
+            and check_genus0(d).passed
+            and search_space(d, group) <= 600
+        ):
+            d = random_diagram(rng)
+        _assert_transports_commute(d, group)
+
+    @pytest.mark.parametrize(
+        "group, count", zip(TRANSPORT_GROUPS, (120, 240)), ids=("24", "60")
+    )
+    def test_member_transport_commutes_on_a_two_arc_member_path(self, group, count):
+        # random diagrams seldom have two arcs with nonempty words on one
+        # member path; here the product C(a1) C(a2) fails to commute with g
+        # on 24 of the 120 octahedral solutions of the relators
+        d = parse((FIXTURES / "transport.sld").read_text()).diagram()
+        assert _assert_transports_commute(d, group) == count
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(TRANSPORT_GROUPS))
+    def test_subdivision_keeps_every_verdict(self, seed, group):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        assume(d.arcs)
+        dec = _group_decoration(d, group, rng)
+        sw = run_all_checks(d, dec, exhaustive_paths=True).sw
+        # a subdivision lengthens the member paths through the split arc, so
+        # the shortest path may change; its verdict then may too
+        assume("path-dependent" not in " ".join(sw.diagnostics))
+        assert _passed(*_subdivided(d, dec, rng)) == _passed(d, dec)
+
+    @pytest.mark.parametrize(
+        "group, count", zip(TRANSPORT_GROUPS, (720, 1800)), ids=("24", "60")
+    )
+    def test_split_arc_keeps_the_solutions(self, group, count):
+        # one arc h.a -> h.b with word x y against its split h.a -> c with
+        # word y, then c -> h.b with word x: their relators are equivalent,
+        # so the solutions restricted to (h, x, y) are the same
+        single = parse(
+            "hopf h\ncircle x\ncircle y\n"
+            "arc a from h.a slot 0 to h.b slot 0 word x:+ y:+\n"
+        ).diagram()
+        split = parse(
+            "hopf h\ncircle x\ncircle y\ncircle c\n"
+            "arc a1 from h.a slot 0 to c slot 0 word y:+\n"
+            "arc a2 from c slot 1 to h.b slot 0 word x:+\n"
+        ).diagram()
+        restricted = [
+            [
+                (dec["h"], dec["x"], dec["y"])
+                for dec in enumerate_valid_decorations(d, SearchOptions(group))
+            ]
+            for d in (single, split)
+        ]
+        assert len(restricted[0]) == len(set(restricted[1])) == count
+        assert set(restricted[0]) == set(restricted[1])
 
 
 class TestRunAll:

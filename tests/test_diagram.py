@@ -113,7 +113,7 @@ class TestValidate:
 
     def test_cached_plan_is_read_only(self):
         d = ref1_diagram()
-        for plan in (d.adjacency, d.member_paths, d.arcs_mentioning):
+        for plan in (d.adjacency, d.member_words, d.arcs_mentioning):
             with pytest.raises(TypeError):
                 plan["x"] = ()
             assert all(isinstance(v, tuple) for v in plan.values())

@@ -20,7 +20,11 @@ from linkrep.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-FIXTURE_FILES = ("fixtures/commuting.sld", "fixtures/ref1.sld")
+FIXTURE_FILES = (
+    "fixtures/commuting.sld",
+    "fixtures/ref1.sld",
+    "fixtures/transport.sld",
+)
 GROUPS = ("tetrahedral", "octahedral", "icosahedral")
 DEDUPS = ("none", "group_conjugacy", "so3_canonical")
 

@@ -299,10 +299,9 @@ class TestTableElements:
 
     def test_mixed_tables_fall_back_to_matrices(self):
         tet, oct_ = tetrahedral_group(), octahedral_group()
-        # the tetrahedral elements are cube-dictionary (octahedral) objects;
-        # its table owns equal but distinct ones
+        # the tetrahedral table owns elements equal to, but distinct from,
+        # octahedral ones
         assert tet.table.elements == tet.elements
-        assert all(g._table is oct_.table for g in tet.elements)
         assert all(g._table is tet.table for g in tet.table.elements)
         for a in tet.table.elements:
             for b in oct_.table.elements:

@@ -23,7 +23,7 @@ from linkrep.rotation import icosahedral_group, octahedral_group, rot, tetrahedr
 from linkrep.search import (
     SearchOptions,
     _orbit_minima,
-    _sw_passes,
+    _word_index,
     count_classes,
     enumerate_valid_decorations,
 )
@@ -105,9 +105,14 @@ class TestDifferential:
 
 
 def pruned_hopfs(d: SingularLinkDiagram, dec: Decoration, table) -> set:
-    """The Hopf nodes whose search-side SW verdict fails."""
+    """The Hopf nodes whose search-side SW verdict fails: the member word
+    folded on table indices lies in {I, g}."""
     idx = {n: table.index_of(g) for n, g in dec.mapping}
-    return {h for h in d.hopfs if not _sw_passes(d.member_paths[h], idx[h], idx, table)}
+    return {
+        h
+        for h in d.hopfs
+        if _word_index(d.member_words[h], idx, table) in (table.identity, idx[h])
+    }
 
 
 def check_sw_failures(d: SingularLinkDiagram, dec: Decoration) -> set:
@@ -143,14 +148,17 @@ class TestPruningVerdict:
 
     def test_equals_check_sw_on_a_two_arc_member_path(self):
         # h.a -> c -> h.b: the member path has two arcs, so the verdict
-        # depends on the order the path product is folded in
+        # depends on the order the transport is folded in
         d = parse(
             "hopf h\ncircle c\ncircle d\n"
             "arc a1 from h.a slot 0 to c slot 0 word d:+\n"
             "arc a2 from c slot 1 to h.b slot 0 word d:+ c:+\n"
             "arc a3 from d slot 0 to d slot 1 word\n"
         ).diagram()
-        assert len(d.member_paths["h"]) == 2
+        # C(a2) C(a1): a2's word, then a1's
+        assert [(str(ref), s) for ref, s in d.member_words["h"]] == [
+            ("d", 1), ("c", 1), ("d", 1)
+        ]
         table = octahedral_group().table
         involutions = [table.elements[i] for i in table.involutions]
         verdicts = set()
