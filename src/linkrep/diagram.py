@@ -26,18 +26,20 @@ class DiagramError(Exception):
 
 @dataclass(frozen=True)
 class CircleRef:
-    """Reference to one circle: a simple circle id, or a Hopf member id.a / id.b."""
+    """Reference to one circle: a simple circle id, or a Hopf member id.a / id.b.
+
+    `circle_id` is that text, computed once at construction; `==`, `hash`
+    and `repr` ignore it and see `node` and `member` only."""
 
     node: str
     member: Optional[str] = None  # None for simple circles, "a"/"b" for Hopf members
+    circle_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.member not in (None, "a", "b"):
             raise ValueError(f"bad Hopf member tag {self.member!r}")
-
-    @property
-    def circle_id(self) -> str:
-        return self.node if self.member is None else f"{self.node}.{self.member}"
+        cid = self.node if self.member is None else f"{self.node}.{self.member}"
+        object.__setattr__(self, "circle_id", cid)
 
     @staticmethod
     def parse(text: str) -> "CircleRef":
@@ -336,26 +338,26 @@ def _boundary_cycle_count(cyclic: Dict[str, List[Tuple[str, str]]]) -> int:
 
     Faces of the combinatorial map: orbits of sigma o alpha, where sigma is
     "next half-edge counterclockwise at the vertex" and alpha swaps the two
-    half-edges of each band.
+    half-edges of each band.  Each orbit is traced once, from the first
+    half-edge (in insertion order) that no earlier trace visited, so the
+    count takes time linear in the number of half-edges.
     """
     succ = {}
     for half_edges in cyclic.values():
         n = len(half_edges)
         for i, h in enumerate(half_edges):
             succ[h] = half_edges[(i + 1) % n]
-    mate = {}
-    for h in succ:
-        arc_id, tag = h
-        mate[h] = (arc_id, "e" if tag == "s" else "s")
-    unvisited = set(succ)
+    visited = set()
     cycles = 0
-    while unvisited:
-        start = min(unvisited)
-        h = start
+    for start in succ:
+        if start in visited:
+            continue
         cycles += 1
+        h = start
         while True:
-            unvisited.discard(h)
-            h = succ[mate[h]]
+            visited.add(h)
+            arc_id, tag = h
+            h = succ[(arc_id, "e" if tag == "s" else "s")]
             if h == start:
                 break
     return cycles
@@ -366,19 +368,22 @@ def ribbon_genus(d: SingularLinkDiagram) -> List[Tuple[Tuple[str, ...], int]]:
 
     Each circle is a disc, each arc an untwisted band (odd twists are
     rejected by validation), boundary circles are capped off:
-    genus = (2 - (V - E + F)) / 2.
+    genus = (2 - (V - E + F)) / 2.  Edges are counted per component in one
+    pass over the arcs.
     """
     part = components(d)
     cyclic = _half_edges(d)
+    edges: Dict[str, int] = {}  # first circle of a component -> its arc count
+    for a in d.arcs:
+        first = part.block_of(a.start.circle_id)[0]
+        edges[first] = edges.get(first, 0) + 1
     out = []
     for block in part.blocks:
-        block_set = set(block)
         v = len(block)
-        arcs = [a for a in d.arcs if a.start.circle_id in block_set]
-        e = len(arcs)
+        e = edges.get(block[0], 0)
         local_cyclic = {cid: cyclic[cid] for cid in block if cid in cyclic}
         f = _boundary_cycle_count(local_cyclic)
-        f += sum(1 for cid in block if cid not in cyclic)  # bare discs
+        f += v - len(local_cyclic)  # bare discs
         chi = v - e + f
         if (2 - chi) % 2 != 0:
             raise RuntimeError(f"odd Euler defect on component {block}")

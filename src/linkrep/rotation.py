@@ -32,7 +32,8 @@ class RotationElement:
     An element owned by a GroupTable carries the table and its index there.
     These are plain attributes, not fields: repr and hash ignore them, and
     pickling or copying drops them.  Two elements of one table compare by
-    index, every other pair by matrix, which gives the same answer.
+    index, as do a table element and the identity constant; every other
+    pair compares by matrix, which gives the same answer.
     """
 
     m: Matrix3
@@ -68,8 +69,11 @@ class RotationElement:
         if other.__class__ is not RotationElement:
             return NotImplemented
         t = self._table
-        if t is not None and t is other._table:
-            return self._index == other._index
+        if t is not None:
+            if t is other._table:
+                return self._index == other._index
+            if other is _IDENTITY:
+                return self._index == t.identity
         return self.m == other.m
 
     # written out because a frozen dataclass keeps only an explicit __hash__;

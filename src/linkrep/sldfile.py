@@ -84,10 +84,19 @@ class SldDocument:
         return None
 
     def diagram(self) -> SingularLinkDiagram:
-        circles = tuple(s.id for s in self.statements if isinstance(s, CircleStmt))
-        hopfs = tuple(s.id for s in self.statements if isinstance(s, HopfStmt))
-        arcs = tuple(s.arc for s in self.statements if isinstance(s, ArcStmt))
-        return SingularLinkDiagram(circles=circles, hopfs=hopfs, arcs=arcs)
+        circles: List[str] = []
+        hopfs: List[str] = []
+        arcs: List[ArcBand] = []
+        for s in self.statements:
+            if isinstance(s, ArcStmt):
+                arcs.append(s.arc)
+            elif isinstance(s, HopfStmt):
+                hopfs.append(s.id)
+            elif isinstance(s, CircleStmt):
+                circles.append(s.id)
+        return SingularLinkDiagram(
+            circles=tuple(circles), hopfs=tuple(hopfs), arcs=tuple(arcs)
+        )
 
     def decoration(self) -> Optional[Decoration]:
         pairs = {
@@ -103,24 +112,34 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise SldParseError(lineno, f"{what} must be an integer, got {token!r}")
 
 
-def _parse_arc(tokens: List[str], lineno: int) -> ArcBand:
-    # arc ID from REF slot INT to REF slot INT word W* [twist INT]
-    def expect(keyword: str, pos: int):
-        if pos >= len(tokens) or tokens[pos] != keyword:
-            raise SldParseError(lineno, f"expected {keyword!r} in arc statement")
+# the keywords of an arc statement, at tokens 2, 4, 6, 8 and 10
+_ARC_KEYWORDS = ["from", "slot", "to", "slot", "word"]
+_SIGNS = {"+": 1, "-": -1}
 
+_RefTable = Dict[str, CircleRef]  # reference text -> its CircleRef, per document
+
+
+def _ref(text: str, refs: _RefTable) -> CircleRef:
+    """The CircleRef of `text`, parsed once per document."""
+    ref = refs.get(text)
+    if ref is None:
+        ref = refs[text] = CircleRef.parse(text)
+    return ref
+
+
+def _parse_arc(tokens: List[str], lineno: int, refs: _RefTable) -> ArcBand:
+    # arc ID from REF slot INT to REF slot INT word W* [twist INT]
     if len(tokens) < 10:
         raise SldParseError(lineno, "truncated arc statement")
+    if tokens[2:11:2] != _ARC_KEYWORDS:
+        for pos, keyword in zip(range(2, 11, 2), _ARC_KEYWORDS):
+            if pos >= len(tokens) or tokens[pos] != keyword:
+                raise SldParseError(lineno, f"expected {keyword!r} in arc statement")
     arc_id = tokens[1]
-    expect("from", 2)
-    start = CircleRef.parse(tokens[3])
-    expect("slot", 4)
+    start = _ref(tokens[3], refs)
     start_slot = _parse_int(tokens[5], lineno, "slot")
-    expect("to", 6)
-    end = CircleRef.parse(tokens[7])
-    expect("slot", 8)
+    end = _ref(tokens[7], refs)
     end_slot = _parse_int(tokens[9], lineno, "slot")
-    expect("word", 10)
     rest = tokens[11:]
     twist = 0
     if "twist" in rest:
@@ -131,12 +150,13 @@ def _parse_arc(tokens: List[str], lineno: int) -> ArcBand:
         rest = rest[:at]
     word = []
     for tok in rest:
-        if ":" not in tok:
+        ref_text, colon, sign_text = tok.rpartition(":")
+        if not colon:
             raise SldParseError(lineno, f"word entry {tok!r} is missing its sign")
-        ref_text, sign_text = tok.rsplit(":", 1)
-        if sign_text not in ("+", "-"):
+        sign = _SIGNS.get(sign_text)
+        if sign is None:
             raise SldParseError(lineno, f"word sign must be + or -, got {sign_text!r}")
-        word.append((CircleRef.parse(ref_text), 1 if sign_text == "+" else -1))
+        word.append((_ref(ref_text, refs), sign))
     return ArcBand(
         id=arc_id,
         start=start,
@@ -148,6 +168,19 @@ def _parse_arc(tokens: List[str], lineno: int) -> ArcBand:
     )
 
 
+# cycle text -> (its permutation, its cube rotation); only texts that parse
+# are stored, and there are 86 of them ("()", "e" and 84 cycle products)
+_PERMS: Dict[str, Tuple[CubePermutation, RotationElement]] = {}
+
+
+def _perm_decoration(text: str) -> Tuple[CubePermutation, RotationElement]:
+    hit = _PERMS.get(text)
+    if hit is None:
+        perm = CubePermutation.parse(text)
+        hit = _PERMS[text] = (perm, perm_to_rotation(perm))
+    return hit
+
+
 def _parse_decorate(tokens: List[str], lineno: int) -> DecorateStmt:
     # decorate NODEID = perm "CYCLES" | matrix S11 ... S33
     if len(tokens) < 5 or tokens[2] != "=":
@@ -157,8 +190,8 @@ def _parse_decorate(tokens: List[str], lineno: int) -> DecorateStmt:
     if kind == "perm":
         if len(tokens) != 5:
             raise SldParseError(lineno, "perm decoration takes one cycle token")
-        perm = CubePermutation.parse(tokens[4])
-        return DecorateStmt(node=node, element=perm_to_rotation(perm), perm=perm)
+        perm, element = _perm_decoration(tokens[4])
+        return DecorateStmt(node=node, element=element, perm=perm)
     if kind == "matrix":
         if len(tokens) != 13:
             raise SldParseError(lineno, "matrix decoration takes nine scalars")
@@ -173,6 +206,8 @@ def _tokenize(line: str, lineno: int) -> List[str]:
     wholly inside double quotes (a perm cycle), which loses its quotes; any
     other double quote is an error."""
     tokens = line.split()
+    if '"' not in line:
+        return tokens
     for i, tok in enumerate(tokens):
         if '"' in tok:
             if len(tok) < 2 or tok[0] != '"' or tok[-1] != '"' or '"' in tok[1:-1]:
@@ -187,6 +222,7 @@ def parse(text: str) -> SldDocument:
     node_ids = set()
     arc_ids = set()
     decorated: Dict[str, int] = {}  # node -> line of its decoration
+    refs: _RefTable = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -213,7 +249,7 @@ def parse(text: str) -> SldDocument:
                     CircleStmt(tokens[1]) if keyword == "circle" else HopfStmt(tokens[1])
                 )
             elif keyword == "arc":
-                arc = _parse_arc(tokens, lineno)
+                arc = _parse_arc(tokens, lineno, refs)
                 if arc.id in arc_ids:
                     raise SldParseError(lineno, f"duplicate id {arc.id!r}")
                 arc_ids.add(arc.id)

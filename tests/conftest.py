@@ -58,6 +58,42 @@ def random_diagram(rng: random.Random) -> SingularLinkDiagram:
     return SingularLinkDiagram(circles=circles, hopfs=hopfs, arcs=tuple(arcs))
 
 
+def worded_path_diagram(rng: random.Random) -> SingularLinkDiagram:
+    """A random well-formed diagram in which the members of Hopf node h0 are
+    joined by a path of two or three arcs, each with a random orientation
+    and a nonempty word over the simple circles (one of which is off the
+    path), plus up to two arcs like random_diagram's.  The SW product order
+    shows only on such paths, which random_diagram seldom draws."""
+    n_path = rng.randint(1, 2)  # circles strictly inside the member path
+    circles = tuple(f"c{i}" for i in range(n_path + 1))
+    hopfs = ("h0", "h1")[: rng.randint(1, 2)]
+    refs = [CircleRef(c) for c in circles] + [
+        CircleRef(h, m) for h in hopfs for m in ("a", "b")
+    ]
+    next_slot = {r.circle_id: 0 for r in refs}
+
+    def band(start: CircleRef, end: CircleRef, letters, word_len: int) -> ArcBand:
+        slots = []
+        for ref in (start, end):
+            slots.append(next_slot[ref.circle_id])
+            next_slot[ref.circle_id] += 1
+        word = tuple(
+            (rng.choice(letters), rng.choice((1, -1))) for _ in range(word_len)
+        )
+        return ArcBand(f"a{len(arcs)}", start, slots[0], end, slots[1], word)
+
+    path = [CircleRef("h0", "a")] + [CircleRef(c) for c in circles[:n_path]]
+    path.append(CircleRef("h0", "b"))
+    arcs = []
+    for u, v in zip(path, path[1:]):
+        if rng.random() < 0.5:
+            u, v = v, u
+        arcs.append(band(u, v, refs[: len(circles)], rng.randint(1, 2)))
+    for _ in range(rng.randint(0, 2)):
+        arcs.append(band(rng.choice(refs), rng.choice(refs), refs, rng.randint(0, 2)))
+    return SingularLinkDiagram(circles=circles, hopfs=hopfs, arcs=tuple(arcs))
+
+
 def random_decoration(d: SingularLinkDiagram, rng: random.Random) -> Decoration:
     """Every node decorated by a random octahedral element."""
     group = octahedral_group().elements

@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkrep.diagram
 from linkrep.conditions import extract_presentation, run_all_checks
@@ -25,6 +27,7 @@ from linkrep.search import SearchOptions, enumerate_valid_decorations
 from linkrep.sldfile import parse
 
 from conftest import FIXTURES, random_diagram, ref1_diagram
+from ribbon_reference import reference_ribbon_genus
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -299,6 +302,74 @@ class TestRibbonGenus:
             )
             d2 = SingularLinkDiagram(d.circles, d.hopfs, d.arcs + (bridge,))
             assert sum(g for _, g in ribbon_genus(d2)) <= total
+
+
+def random_ribbon_graph(rng: random.Random) -> SingularLinkDiagram:
+    """Simple circles joined by random bands at shuffled slots, so that the
+    components take every genus their size allows."""
+    circles = tuple(f"c{i}" for i in range(rng.randint(1, 6)))
+    ends = [(rng.choice(circles), rng.choice(circles)) for _ in range(rng.randint(0, 12))]
+    degree = {c: 0 for c in circles}
+    for u, v in ends:
+        degree[u] += 1
+        degree[v] += 1
+    free = {c: rng.sample(range(3 * k), k) for c, k in degree.items()}
+    arcs = tuple(
+        ArcBand(f"a{i}", CircleRef(u), free[u].pop(), CircleRef(v), free[v].pop())
+        for i, (u, v) in enumerate(ends)
+    )
+    return SingularLinkDiagram(circles=circles, arcs=arcs)
+
+
+def disjoint_pairs(n: int) -> SingularLinkDiagram:
+    """n components, each two circles joined by one band."""
+    return SingularLinkDiagram(
+        circles=tuple(c for i in range(n) for c in (f"c{i}", f"d{i}")),
+        arcs=tuple(arc(f"a{i}", f"c{i}", 0, f"d{i}", 0) for i in range(n)),
+    )
+
+
+def star(n: int) -> SingularLinkDiagram:
+    """A hub circle joined to each of n spokes by two bands: one component
+    with n + 1 faces."""
+    arcs = []
+    for i in range(n):
+        arcs.append(arc(f"a{i}", "hub", 2 * i, f"s{i}", 0))
+        arcs.append(arc(f"b{i}", "hub", 2 * i + 1, f"s{i}", 1))
+    return SingularLinkDiagram(
+        circles=("hub",) + tuple(f"s{i}" for i in range(n)), arcs=tuple(arcs)
+    )
+
+
+class TestRibbonGenusScaling:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_reference_algorithm(self, seed):
+        rng = random.Random(seed)
+        for d in (random_diagram(rng), random_ribbon_graph(rng)):
+            assert ribbon_genus(d) == reference_ribbon_genus(d)
+
+    def test_reference_agreement_reaches_higher_genus(self):
+        rng = random.Random(7)
+        genera = set()
+        for _ in range(200):
+            d = random_ribbon_graph(rng)
+            got = ribbon_genus(d)
+            assert got == reference_ribbon_genus(d)
+            genera.update(g for _, g in got)
+        assert {0, 1, 2, 3} <= genera
+
+    @pytest.mark.parametrize("build", [disjoint_pairs, star], ids=("pairs", "star"))
+    def test_linear_in_components_and_faces(self, build):
+        # 4 000 components, or one component with 4 001 faces: about 3 s
+        # each when every component rescanned every arc and every face
+        # trace searched for the least unvisited half-edge
+        d = build(4000)
+        start = time.perf_counter()
+        genera = ribbon_genus(d)
+        assert time.perf_counter() - start < 0.25
+        assert len(genera) == (4000 if build is disjoint_pairs else 1)
+        assert all(g == 0 for _, g in genera)
 
 
 class TestTripleArcCrosscheck:

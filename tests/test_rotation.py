@@ -394,6 +394,21 @@ class TestPerIndexFacts:
         assert untagged == rot("(12)")
         assert len(compared) == 2
 
+    def test_table_elements_compare_with_the_identity_constant_by_index(self, monkeypatch):
+        tables = [preset_group(name).table for name in PRESETS]
+        e = RotationElement.identity()
+        expected = [[g.m == e.m for g in t.elements] for t in tables]
+        compared = []
+        matrix_eq = Matrix3.__eq__
+        monkeypatch.setattr(
+            Matrix3, "__eq__", lambda x, y: compared.append(1) or matrix_eq(x, y)
+        )
+        for t, same in zip(tables, expected):
+            assert [g == e for g in t.elements] == same
+            assert [g != e for g in t.elements] == [not s for s in same]
+            assert same.count(True) == 1 and same[t.identity]
+        assert compared == []
+
     def test_conjugation_table(self):
         for name in PRESETS:
             t = preset_group(name).table

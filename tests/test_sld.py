@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import shlex
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkrep.sldfile
 from linkrep.cli import main
 from linkrep.conditions import Decoration, run_all_checks
 from linkrep.diagram import ArcBand, CircleRef, DiagramError, SingularLinkDiagram
@@ -185,6 +187,72 @@ class TestParseErrors:
         with pytest.raises(SldParseError, match="zero denominator") as exc:
             parse(f"circle c\ndecorate c = matrix {scalar} 0 0 0 1 0 0 0 1\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("pos", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("drop", [False, True], ids=("replaced", "dropped"))
+    def test_misplaced_arc_keyword_is_named(self, pos, drop):
+        tokens = "arc a from c slot 0 to c slot 1 word c:+".split()
+        expected = tokens[pos]
+        if drop:
+            del tokens[pos]
+        else:
+            tokens[pos] = "bogus"
+        with pytest.raises(SldParseError) as exc:
+            parse("circle c\n" + " ".join(tokens) + "\n")
+        assert exc.value.line == 2
+        assert exc.value.message == f"expected {expected!r} in arc statement"
+
+    def test_arc_without_its_word_keyword(self):
+        with pytest.raises(SldParseError) as exc:
+            parse("circle c\narc a from c slot 0 to c slot 1\n")
+        assert (exc.value.line, exc.value.message) == (2, "expected 'word' in arc statement")
+
+    def test_malformed_cycle_fails_on_its_first_line_every_time(self):
+        text = 'circle c\ncircle d\ndecorate c = perm "(11)"\ndecorate d = perm "(11)"\n'
+        for _ in range(2):
+            with pytest.raises(SldParseError, match="repeated point") as exc:
+                parse(text)
+            assert exc.value.line == 3
+        assert "(11)" not in linkrep.sldfile._PERMS
+
+    def test_cycle_texts_parse_alike_in_every_document(self):
+        text = 'circle c\ncircle d\ndecorate c = perm "(12)(34)"\ndecorate d = perm "(12)(34)"\n'
+        first, second = parse(text), parse(text)
+        assert first == second
+        for doc in (first, second):
+            for stmt in doc.statements[2:]:
+                assert stmt.perm == CubePermutation.parse("(12)(34)")
+                assert stmt.element == perm_to_rotation(stmt.perm)
+        assert len(linkrep.sldfile._PERMS) <= 86
+
+    def test_equal_reference_texts_give_equal_refs(self):
+        doc = parse(
+            "hopf H\ncircle c\n"
+            "arc a from H.a slot 0 to c slot 0 word c:+ H.b:-\n"
+            "arc b from c slot 1 to H.b slot 0 word H.a:+ c:-\n"
+        )
+        a, b = (s.arc for s in doc.statements[2:])
+        assert a.start == b.word[0][0] == CircleRef("H", "a")
+        assert a.end == b.start == a.word[0][0] == b.word[1][0] == CircleRef("c")
+        assert b.end == a.word[1][0] == CircleRef("H", "b")
+        assert a.end.circle_id == "c" and b.end.circle_id == "H.b"
+
+
+class TestCircleRef:
+    def test_repr_hash_and_equality_see_node_and_member_only(self):
+        member, simple = CircleRef("H", "a"), CircleRef("c")
+        assert repr(member) == "CircleRef(node='H', member='a')"
+        assert repr(simple) == "CircleRef(node='c', member=None)"
+        assert hash(member) == hash(("H", "a"))
+        assert hash(simple) == hash(("c", None))
+        assert member == CircleRef.parse("H.a") and simple == CircleRef.parse("c")
+        assert member != CircleRef("H", "b") and simple != CircleRef("c", "a")
+        assert (member.circle_id, simple.circle_id, str(member)) == ("H.a", "c", "H.a")
+
+    def test_circle_id_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            CircleRef("H", "a", "H.a")
+        assert dataclasses.replace(CircleRef("H", "a"), member="b").circle_id == "H.b"
 
 
 COMMUTING_TEXT = (FIXTURES / "commuting.sld").read_text()
