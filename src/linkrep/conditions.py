@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .diagram import (
     Adjacency,
@@ -21,9 +21,8 @@ from .diagram import (
     Word,
     check_selfint_structure,
     ribbon_genus,
-    triple_arc_crosscheck,
 )
-from .rotation import RotationElement, conjugate, is_involution
+from .rotation import GroupTable, RotationElement, conjugate, is_involution
 
 
 class DecorationError(Exception):
@@ -34,16 +33,31 @@ class DecorationError(Exception):
 class Decoration:
     """Total map node id -> rotation.  Both circles of a Hopf pair share
     their node's element.  Lookups go through a dict index that is built
-    once and takes no part in comparison."""
+    once and takes no part in comparison.  When one GroupTable owns every
+    element, construction also notes that table and each node's index in
+    it, so the checks fold words on the table."""
 
     mapping: Tuple[Tuple[str, RotationElement], ...]
     _index: Dict[str, RotationElement] = field(init=False, repr=False, compare=False)
+    # the GroupTable owning every element, else None; then _at is None too
+    _table: Optional[GroupTable] = field(init=False, repr=False, compare=False)
+    _at: Optional[Dict[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: Dict[str, RotationElement] = {}
+        at: Optional[Dict[str, int]] = {}
+        table = self.mapping[0][1]._table if self.mapping else None
         for k, v in self.mapping:
-            index.setdefault(k, v)  # the first pair of a node wins
+            if k not in index:  # the first pair of a node wins
+                index[k] = v
+                at[k] = v._index
+                if v._table is not table:
+                    table = None
+        if table is None:
+            at = None
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_at", at)
 
     @staticmethod
     def of(d: Dict[str, RotationElement]) -> "Decoration":
@@ -101,6 +115,22 @@ def _signed_product(factors: Iterable[Tuple[RotationElement, int]]) -> RotationE
     return RotationElement.identity() if out is None else out
 
 
+def _word_index(
+    word: Word, assignment: Dict[str, int], table: GroupTable
+) -> Optional[int]:
+    """The table index of the product of a signed word (an arc's holonomy
+    C(A) or a member word), leftmost factor first, or None while a node of
+    the word is unassigned."""
+    mul, inv = table.mul, table.inv
+    out = table.identity
+    for ref, sign in word:
+        g = assignment.get(ref.node)
+        if g is None:
+            return None
+        out = mul[out][g if sign == 1 else inv[g]]
+    return out
+
+
 def _word_product(word: Word, dec: Decoration) -> RotationElement:
     """The product of the decorations of a signed word, leftmost first."""
     return _signed_product((dec[ref.node], sign) for ref, sign in word)
@@ -115,17 +145,30 @@ def holonomy_word(a: ArcBand, dec: Decoration) -> RotationElement:
 def check_relators(d: SingularLinkDiagram, dec: Decoration) -> CheckResult:
     """Every arc must conjugate its start decoration to its end decoration:
     h = C(A) g C(A)^-1 with the arc oriented start -> end, tested as
-    C(A) g = h C(A)."""
+    C(A) g = h C(A), or as conj[C(A)][g] = h on the table that owns the
+    decoration."""
     ensure_total(d, dec)
-    index = dec._index
-    diagnostics = []
-    for a in d.arcs:
-        g = index[a.start.node]
-        h = index[a.end.node]
-        c = holonomy_word(a, dec)
-        if c * g != h * c:
-            diagnostics.append(f"arc {a.id}: end decoration is not C(A) g C(A)^-1")
-    return CheckResult("relators", not diagnostics, tuple(diagnostics))
+    table, at = dec._table, dec._at
+    if table is not None:
+        conj = table.conj
+        failed = [
+            a
+            for a in d.arcs
+            if conj[_word_index(a.word, at, table)][at[a.start.node]] != at[a.end.node]
+        ]
+    else:
+        index = dec._index
+        failed = []
+        for a in d.arcs:
+            g = index[a.start.node]
+            h = index[a.end.node]
+            c = holonomy_word(a, dec)
+            if c * g != h * c:
+                failed.append(a)
+    diagnostics = tuple(
+        f"arc {a.id}: end decoration is not C(A) g C(A)^-1" for a in failed
+    )
+    return CheckResult("relators", not diagnostics, diagnostics)
 
 
 def check_selfint(d: SingularLinkDiagram) -> CheckResult:
@@ -137,16 +180,12 @@ def check_selfint(d: SingularLinkDiagram) -> CheckResult:
 
 
 def check_genus0(d: SingularLinkDiagram) -> CheckResult:
-    per_component = ribbon_genus(d)
-    diagnostics = []
-    for block, genus in per_component:
-        if genus != 0:
-            diagnostics.append(f"component {block[0]}...: genus {genus}")
-    passed = not diagnostics
-    for finding in triple_arc_crosscheck(d):
-        # informational second reading of the condition; never resolves the verdict
-        diagnostics.append(f"cyclic-order cross-check: {finding}")
-    return CheckResult("genus0", passed, tuple(diagnostics))
+    diagnostics = tuple(
+        f"component {block[0]}...: genus {genus}"
+        for block, genus in ribbon_genus(d)
+        if genus != 0
+    )
+    return CheckResult("genus0", not diagnostics, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +256,15 @@ def check_sw(
     transport P = C(A_k)^(+-1) ... C(A_1)^(+-1) along the shortest member
     path A_1, ..., A_k from member a to member b avoids {I, g}.  P is the
     product of the diagram's member word.  (When the relators hold, P g P^-1
-    is g, so P commutes with g; tests pin that theorem.)  With
-    exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
-    checked for a verdict differing from the shortest path's; there each
-    arc's holonomy is computed at most once per call.  The member words and
-    the adjacency are the diagram's own, built once per diagram."""
+    is g, so P commutes with g; tests pin that theorem.)  On the table that
+    owns the decoration, P is folded on indices like an arc's holonomy.
+    With exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
+    checked for a verdict differing from the shortest path's, on elements;
+    there each arc's holonomy is computed at most once per call.  The member
+    words and the adjacency are the diagram's own, built once per diagram."""
     ensure_total(d, dec)
+    if dec._table is not None and not exhaustive_paths:
+        return _check_sw_on_table(d, dec._table, dec._at)
     identity = RotationElement.identity()
     holonomies: Dict[str, RotationElement] = {}
 
@@ -264,6 +306,28 @@ def check_sw(
                     "were examined"
                 )
     return CheckResult("sw", passed, tuple(diagnostics))
+
+
+def _check_sw_on_table(
+    d: SingularLinkDiagram, table: GroupTable, at: Dict[str, int]
+) -> CheckResult:
+    """check_sw's shortest-path verdicts for a decoration that one table
+    owns, given as node -> index: every word folds on the table."""
+    diagnostics: List[str] = []
+    for h in d.hopfs:
+        g = at[h]
+        if g not in table.involutions:
+            diagnostics.append(f"hopf {h}: decoration is not a pi-rotation")
+            continue
+        word = d.member_words[h]
+        if word is None:
+            raise DiagramError(
+                f"hopf {h}: no arc path between members (selfint precondition)"
+            )
+        p = _word_index(word, at, table)
+        if p == table.identity or p == g:
+            diagnostics.append(f"hopf {h}: path product lies in {{I, g}}")
+    return CheckResult("sw", not diagnostics, tuple(diagnostics))
 
 
 def run_all_checks(

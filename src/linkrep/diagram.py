@@ -392,49 +392,3 @@ def ribbon_genus(d: SingularLinkDiagram) -> List[Tuple[Tuple[str, ...], int]]:
             raise RuntimeError(f"negative genus on component {block}")
         out.append((block, genus))
     return out
-
-
-# ---------------------------------------------------------------------------
-# informational cross-check: triples of parallel arcs between two circles
-# ---------------------------------------------------------------------------
-
-def _cyclic_orientation(slots: Tuple[int, int, int]) -> int:
-    """+1 if the three distinct slots appear in even (cyclic) order, -1 otherwise."""
-    a, b, c = slots
-    inversions = (a > b) + (a > c) + (b > c)
-    return 1 if inversions % 2 == 0 else -1
-
-
-def triple_arc_crosscheck(d: SingularLinkDiagram) -> List[str]:
-    """Reversed-cyclic-order reading of the genus-zero condition.
-
-    Restricted to triples of single arcs directly joining the same two
-    circles; a triple passes when the cyclic orders at the two circles are
-    opposite.  Findings are informational and reported alongside the ribbon
-    computation, never merged with it.
-    """
-    from itertools import combinations
-
-    by_pair: Dict[Tuple[str, str], List[ArcBand]] = {}
-    for a in d.arcs:
-        c1, c2 = a.start.circle_id, a.end.circle_id
-        if c1 == c2:
-            continue
-        by_pair.setdefault(tuple(sorted((c1, c2))), []).append(a)
-    findings = []
-    for (c1, c2), arcs in sorted(by_pair.items()):
-        if len(arcs) < 3:
-            continue
-        for triple in combinations(sorted(arcs, key=lambda a: a.id), 3):
-            slots1 = tuple(
-                a.start_slot if a.start.circle_id == c1 else a.end_slot for a in triple
-            )
-            slots2 = tuple(
-                a.start_slot if a.start.circle_id == c2 else a.end_slot for a in triple
-            )
-            if _cyclic_orientation(slots1) == _cyclic_orientation(slots2):
-                names = ",".join(a.id for a in triple)
-                findings.append(
-                    f"arcs {names} between {c1} and {c2} have matching cyclic order"
-                )
-    return findings

@@ -5,8 +5,21 @@ products) and assigns nodes in an order that maximizes forced conjugation
 propagation: an arc whose word mentions only assigned nodes determines one
 endpoint from the other.  Propagation follows the trail of newly assigned
 nodes and visits only the arcs that mention them (the diagram's watch
-lists).  Every leaf is verified by the public condition checks; its
-elements belong to the table, so the checks' products are table reads too.
+lists).
+
+Symmetry breaking (Crawford, Ginsberg, Luks & Roy, KR 1996): conjugating
+every node by one group element maps leaves to leaves and keeps every
+relator and Stiefel-Whitney verdict.  So the first node of the order ranges
+over one representative r per conjugacy class of its domain (two involution
+classes in the octahedral group, one in the icosahedral, every class for a
+simple circle), and each leaf found below r is carried to the others by a
+left transversal of the centralizer C(r), read from the table's conjugation
+table.  The images differ at the first node, so none repeats, and the
+expanded leaves are exactly the leaves of the unbroken search.
+
+Every expanded leaf is verified by the public condition checks.  Its
+elements belong to one table, so the checks fold its words on table indices
+with the same _word_index the backtracking uses.
 
 With SearchOptions.prune_sw, once every node a Hopf node's
 Stiefel-Whitney verdict depends on is assigned, the verdict is computed on
@@ -14,7 +27,9 @@ indices: the transport P = C(A_k)^(+-1) ... C(A_1)^(+-1) along the shortest
 member path is the product of the diagram's cached member word, read like an
 arc word, and a branch where P lies in {I, g} is pruned, as check_sw rejects
 it.  The solutions and their order are the same; the leaves are then exactly
-the solutions, each still re-verified by the public checks.
+the solutions, each still re-verified by the public checks.  It is off by
+default because the benchmark pins the number of re-verified REF-1 leaves
+(273 leaves for 120 solutions).
 
 Classes are counted one orbit at a time (the orbit algorithm, Holt, Eick &
 O'Brien, Handbook of Computational Group Theory, ch. 4): each distinct index
@@ -37,12 +52,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conditions import (
     Decoration,
+    _word_index,
     check_genus0,
     check_relators,
     check_selfint,
     check_sw,
 )
-from .diagram import ArcBand, SingularLinkDiagram, Word
+from .diagram import ArcBand, SingularLinkDiagram
 from .field import (
     AxisLine,
     Matrix3,
@@ -99,19 +115,21 @@ def _node_order(d: SingularLinkDiagram) -> List[str]:
     return sorted(counts, key=lambda n: (-counts[n], n))
 
 
-def _word_index(
-    word: Word, assignment: Dict[str, int], table: GroupTable
-) -> Optional[int]:
-    """The table index of the product of a signed word (an arc's holonomy
-    C(A) or a member word), leftmost factor first, or None while a node of
-    the word is unassigned."""
-    mul, inv = table.mul, table.inv
-    out = table.identity
-    for ref, sign in word:
-        g = assignment.get(ref.node)
-        if g is None:
-            return None
-        out = mul[out][g if sign == 1 else inv[g]]
+def _class_transversals(domain: Sequence[int], conj: tuple) -> Dict[int, tuple]:
+    """One representative r per conjugacy class that meets the domain (a
+    union of classes), its least index, mapped to a left transversal of
+    its centralizer C(r): for each conjugate x of r, the first c in index
+    order with c r c^-1 = x."""
+    out: Dict[int, tuple] = {}
+    seen = set()
+    for r in domain:
+        if r in seen:
+            continue
+        first: Dict[int, int] = {}
+        for c, row in enumerate(conj):
+            first.setdefault(row[r], c)
+        seen.update(first)
+        out[r] = tuple(first.values())
     return out
 
 
@@ -120,7 +138,10 @@ def enumerate_valid_decorations(
 ) -> List[Decoration]:
     """All total decorations over opts.group passing the relator and
     Stiefel-Whitney checks; deterministic order, the same with and without
-    opts.prune_sw.
+    opts.prune_sw.  The first node of the node order ranges over one
+    representative per conjugacy class of its domain; each leaf below a
+    representative r is expanded by a transversal of C(r), and every
+    expanded leaf is re-verified by the public checks.
 
     A failing genus condition is an error (the search contract presumes it);
     a failing self-intersection condition makes every Stiefel-Whitney path
@@ -148,9 +169,16 @@ def enumerate_valid_decorations(
         for node in support[h]:
             sw_watchers[node].append(h)
 
+    # symmetry breaking: conjugation permutes leaves and keeps every verdict
+    first = nodes[0] if nodes else None
+    transversals = {None: (table.identity,)}
+    if nodes:
+        transversals = _class_transversals(domains[first], conj)
+        domains[first] = list(transversals)
+
     assignment: Dict[str, int] = {}
     node_names = sorted(domains)
-    solutions: List[Tuple[tuple, Decoration]] = []
+    leaves: List[Tuple[Optional[int], tuple]] = []  # (representative, leaf)
 
     def propagate(trail: List[str]) -> bool:
         """Force endpoints through fully-worded arcs that mention a newly
@@ -195,10 +223,9 @@ def enumerate_valid_decorations(
     def descend():
         unassigned = [n for n in nodes if n not in assignment]
         if not unassigned:
-            dec = Decoration.of({n: elements[i] for n, i in assignment.items()})
-            # re-verify through the public checks: no pruning soundness holes
-            if check_relators(d, dec).passed and check_sw(d, dec).passed:
-                solutions.append((tuple(assignment[n] for n in node_names), dec))
+            leaves.append(
+                (assignment.get(first), tuple(assignment[n] for n in node_names))
+            )
             return
         node = unassigned[0]
         for g in domains[node]:
@@ -210,6 +237,14 @@ def enumerate_valid_decorations(
                 del assignment[n]
 
     descend()
+    solutions: List[Tuple[tuple, Decoration]] = []
+    for r, leaf in leaves:
+        for c in transversals[r]:
+            image = tuple(conj[c][i] for i in leaf)
+            dec = Decoration(tuple(zip(node_names, [elements[i] for i in image])))
+            # re-verify through the public checks: no pruning soundness holes
+            if check_relators(d, dec).passed and check_sw(d, dec).passed:
+                solutions.append((image, dec))
     solutions.sort(key=lambda pair: pair[0])
     return [dec for _, dec in solutions]
 

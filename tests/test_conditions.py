@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from contextlib import redirect_stdout
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -34,8 +35,10 @@ from linkrep.rotation import (
     RotationElement,
     conjugate,
     icosahedral_group,
+    generate_group,
     octahedral_group,
     rot,
+    tetrahedral_group,
 )
 from linkrep.search import SearchOptions, enumerate_valid_decorations
 
@@ -50,6 +53,7 @@ from conftest import (
     search_space,
     worded_path_diagram,
 )
+from triple_arc_reference import triple_arc_findings
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -189,8 +193,8 @@ class TestSelfintAndGenus:
         assert any("genus 1" in line for line in res.diagnostics)
 
     def test_crosscheck_agrees_with_genus_on_matching_triple(self):
-        # a matching cyclic-order triple forces genus one; both readings of
-        # the condition surface, the verdict coming from the genus
+        # a matching cyclic-order triple forces genus one: the reference
+        # cross-check reports it, and check_genus0 reports only the genus
         d = SingularLinkDiagram(
             circles=("c1", "c2"),
             arcs=(
@@ -199,10 +203,10 @@ class TestSelfintAndGenus:
                 arc("a3", "c1", 2, "c2", 2),
             ),
         )
+        assert triple_arc_findings(d)
         res = check_genus0(d)
         assert not res.passed
-        assert any("genus 1" in line for line in res.diagnostics)
-        assert any("cross-check" in line for line in res.diagnostics)
+        assert res.diagnostics == ("component c1...: genus 1",)
 
     def test_crosscheck_silent_on_reversed_triple(self):
         d = SingularLinkDiagram(
@@ -518,6 +522,94 @@ class TestDecorationIndex:
         start = time.perf_counter()
         ensure_total(d, dec)
         assert time.perf_counter() - start < 1.0
+
+
+    def test_table_noted_only_when_one_table_owns_every_element(self):
+        oct_, ico = octahedral_group(), icosahedral_group()
+        dec = Decoration.of({"x": rot("(12)"), "y": rot("(34)")})
+        assert dec._table is oct_.table
+        index_of = oct_.table.index_of
+        assert dec._at == {"x": index_of(rot("(12)")), "y": index_of(rot("(34)"))}
+        for mapping in (
+            {"x": rot("(12)"), "y": ico.elements[1]},  # two tables
+            {"x": rot("(12)"), "y": RotationElement.identity()},  # the constant
+            {"x": RotationElement.of(rot("(12)").m.rows)},  # a matrix decoration
+            {},
+        ):
+            dec = Decoration.of(mapping)
+            assert dec._table is None and dec._at is None
+
+
+def _untagged(dec):
+    """The same decoration by elements no table owns, which the checks
+    multiply as matrices."""
+    return Decoration(tuple((n, RotationElement.of(g.m.rows)) for n, g in dec.mapping))
+
+
+def _outcome(check, d, dec):
+    try:
+        return check(d, dec)
+    except DiagramError as exc:
+        return ("DiagramError", str(exc))
+
+
+PRESETS = [octahedral_group(), icosahedral_group(), tetrahedral_group()]
+
+
+class TestCheckPaths:
+    """check_relators and check_sw give the same CheckResult on the table
+    that owns a decoration as on its untagged copy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        group=st.sampled_from(PRESETS),
+        generate=st.sampled_from([random_diagram, worded_path_diagram]),
+        solution=st.booleans(),
+    )
+    def test_index_path_equals_element_path(self, seed, group, generate, solution):
+        rng = random.Random(seed)
+        d = generate(rng)
+        # a Hopf node is mostly decorated by an involution, as solutions are
+        pools = [group.involutions()] * 4 + [group.elements]
+        dec = Decoration.of(
+            {h: rng.choice(rng.choice(pools)) for h in d.hopfs}
+            | {c: rng.choice(group.elements) for c in d.circles}
+        )
+        if solution and check_genus0(d).passed and search_space(d, group) <= 600:
+            dec = rng.choice(enumerate_valid_decorations(d, SearchOptions(group)) or [dec])
+        plain = _untagged(dec)
+        assert dec._table is group.table and plain._table is None
+        for check in (check_relators, check_sw, partial(check_sw, exhaustive_paths=True)):
+            assert _outcome(check, d, dec) == _outcome(check, d, plain)
+
+    def test_draws_cover_solutions_and_failures(self):
+        verdicts = set()
+        rng = random.Random(11)
+        for _ in range(200):
+            d = worded_path_diagram(rng)
+            group = rng.choice(PRESETS)
+            if not check_genus0(d).passed or search_space(d, group) > 600:
+                continue
+            for dec in enumerate_valid_decorations(d, SearchOptions(group))[:1] + [
+                _group_decoration(d, group, rng)
+            ]:
+                relators = check_relators(d, dec)
+                sw = _outcome(check_sw, d, dec)
+                if isinstance(sw, CheckResult):
+                    verdicts.add((relators.passed, sw.passed))
+                    assert relators == check_relators(d, _untagged(dec))
+                    assert sw == check_sw(d, _untagged(dec))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_custom_group_decorations_take_the_index_path(self):
+        dihedral = generate_group([rot("(1234)"), rot("(13)")], "dihedral")
+        d = parse((FIXTURES / "commuting.sld").read_text()).diagram()
+        sols = enumerate_valid_decorations(d, SearchOptions(dihedral, "none"))
+        assert sols and all(dec._table is dihedral.table for dec in sols)
+        for dec in sols:
+            assert check_relators(d, dec) == check_relators(d, _untagged(dec))
+            assert check_sw(d, dec) == check_sw(d, _untagged(dec))
 
 
 def _passed(d, dec):

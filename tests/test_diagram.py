@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 import time
 
@@ -17,7 +18,6 @@ from linkrep.diagram import (
     betti,
     components,
     ribbon_genus,
-    triple_arc_crosscheck,
     validate,
 )
 
@@ -28,6 +28,7 @@ from linkrep.sldfile import parse
 
 from conftest import FIXTURES, random_diagram, ref1_diagram
 from ribbon_reference import reference_ribbon_genus
+from triple_arc_reference import triple_arc_findings
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -372,7 +373,23 @@ class TestRibbonGenusScaling:
         assert all(g == 0 for _, g in genera)
 
 
+def parallel_arcs(k: int, rng: random.Random = None) -> SingularLinkDiagram:
+    """Two circles joined by k bands, in the same slot order at both ends
+    or, given rng, in a shuffled order at the second circle."""
+    slots = list(range(k))
+    if rng is not None:
+        rng.shuffle(slots)
+    return SingularLinkDiagram(
+        circles=("c1", "c2"),
+        arcs=tuple(arc(f"a{i}", "c1", i, "c2", slots[i]) for i in range(k)),
+    )
+
+
 class TestTripleArcCrosscheck:
+    """The triple-arc reading of the genus condition, kept as a test
+    reference (tests/triple_arc_reference.py): a theorem about ribbon_genus,
+    not a runtime check."""
+
     def test_reversed_orders_pass(self):
         d = SingularLinkDiagram(
             circles=("c1", "c2"),
@@ -382,7 +399,7 @@ class TestTripleArcCrosscheck:
                 arc("a3", "c1", 2, "c2", 0),
             ),
         )
-        assert triple_arc_crosscheck(d) == []
+        assert triple_arc_findings(d) == []
 
     def test_matching_orders_reported(self):
         d = SingularLinkDiagram(
@@ -393,6 +410,39 @@ class TestTripleArcCrosscheck:
                 arc("a3", "c1", 2, "c2", 2),
             ),
         )
-        findings = triple_arc_crosscheck(d)
-        assert len(findings) == 1
-        assert "matching cyclic order" in findings[0]
+        assert triple_arc_findings(d) == [("c1", "c2", ("a1", "a2", "a3"))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_a_finding_implies_positive_genus(self, seed):
+        rng = random.Random(seed)
+        for d in (
+            random_diagram(rng),
+            random_ribbon_graph(rng),
+            parallel_arcs(rng.randint(3, 5), rng),
+        ):
+            genus = {cid: g for block, g in ribbon_genus(d) for cid in block}
+            for c1, _, _ in triple_arc_findings(d):
+                assert genus[c1] > 0
+
+    def test_findings_are_seen_on_shuffled_parallel_arcs(self):
+        rng = random.Random(3)
+        assert any(triple_arc_findings(parallel_arcs(4, rng)) for _ in range(20))
+
+    def test_check_on_200_parallel_arcs_is_prompt(self, tmp_path):
+        # the runtime cross-check gave 1 313 401 genus0 diagnostics here, in ~5 s
+        from linkrep.cli import main
+
+        lines = ["group octahedral", "circle c1", "circle c2"]
+        lines += [f"arc a{i} from c1 slot {i} to c2 slot {i} word" for i in range(200)]
+        lines += ['decorate c1 = perm "()"', 'decorate c2 = perm "()"']
+        path = tmp_path / "parallel200.sld"
+        path.write_text("\n".join(lines) + "\n")
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", str(path)])
+        assert time.perf_counter() - start < 0.25
+        assert code == 1
+        genus0 = json.loads(out.getvalue())["checks"]["genus0"]
+        assert genus0 == {"passed": False, "diagnostics": ["component c1...: genus 99"]}

@@ -24,6 +24,7 @@ from linkrep.search import (
     ConjugacyClassKey,
     SearchOptions,
     StructuralConditionError,
+    _class_transversals,
     canonical_class,
     count_classes,
     enumerate_valid_decorations,
@@ -120,6 +121,43 @@ class TestEnumerate:
             ref1_diagram(), SearchOptions(group=tetrahedral_group())
         )
         assert sols == []
+
+
+class TestSymmetryBreaking:
+    @pytest.mark.parametrize(
+        "group, sizes",
+        [
+            (octahedral_group(), [3, 6]),
+            (icosahedral_group(), [15]),
+            (tetrahedral_group(), [3]),
+        ],
+        ids=("24", "60", "12"),
+    )
+    def test_involution_classes(self, group, sizes):
+        table = group.table
+        found = _class_transversals(table.involutions, table.conj)
+        assert [len(cosets) for cosets in found.values()] == sizes
+        reached = []
+        for r, cosets in found.items():
+            images = [table.conj[c][r] for c in cosets]
+            assert r == min(images)  # the least index of its class
+            reached += images
+        # the transversals carry each representative onto its whole class, once each
+        assert sorted(reached) == list(table.involutions)
+
+    @pytest.mark.parametrize(
+        "group, sizes",
+        [
+            (octahedral_group(), [1, 3, 6, 6, 8]),
+            (icosahedral_group(), [1, 12, 12, 15, 20]),
+            (tetrahedral_group(), [1, 3, 4, 4]),
+        ],
+        ids=("24", "60", "12"),
+    )
+    def test_every_class_of_the_group(self, group, sizes):
+        table = group.table
+        found = _class_transversals(range(len(group)), table.conj)
+        assert sorted(len(cosets) for cosets in found.values()) == sizes
 
 
 class TestEquivariance:

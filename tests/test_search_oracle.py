@@ -19,7 +19,14 @@ from linkrep.conditions import (
     check_sw,
 )
 from linkrep.diagram import SingularLinkDiagram
-from linkrep.rotation import icosahedral_group, octahedral_group, rot, tetrahedral_group
+from linkrep.rotation import (
+    FiniteRotationGroup,
+    generate_group,
+    icosahedral_group,
+    octahedral_group,
+    rot,
+    tetrahedral_group,
+)
 from linkrep.search import (
     SearchOptions,
     _orbit_minima,
@@ -87,14 +94,49 @@ def assert_orbit_minima_match(solutions, hopf_order, group) -> None:
 
 class TestDifferential:
     @pytest.mark.parametrize("group", GROUPS, ids=lambda g: str(len(g)))
-    @pytest.mark.parametrize("fixture", ["ref1.sld", "commuting.sld"])
+    @pytest.mark.parametrize("fixture", ["ref1.sld", "commuting.sld", "transport.sld"])
     def test_fixtures(self, fixture, group):
         assert_matches_reference(parse((FIXTURES / fixture).read_text()).diagram(), group)
 
-    @pytest.mark.parametrize("group", GROUPS[:2], ids=lambda g: str(len(g)))
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: str(len(g)))
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_hopf_rings(self, n, group):
         assert_matches_reference(hopf_ring(n), group)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: str(len(g)))
+    def test_node_less_diagram(self, group):
+        # no first node to break symmetry on: the one empty decoration
+        d = parse("").diagram()
+        assert enumerate_valid_decorations(d, SearchOptions(group)) == [Decoration(())]
+        assert_matches_reference(d, group)
+
+    @pytest.mark.parametrize("group", GROUPS, ids=lambda g: str(len(g)))
+    def test_simple_circle_first(self, group):
+        # the circle's class representatives range over every class of G
+        d = parse(
+            "hopf h\ncircle c\ncircle e\n"
+            "arc a from h.a slot 0 to h.b slot 0 word c:+\n"
+            "arc b from c slot 0 to e slot 0 word c:+ h.a:+\n"
+        ).diagram()
+        assert linkrep.search._node_order(d)[0] == "c"
+        assert enumerate_valid_decorations(d, SearchOptions(group))
+        assert_matches_reference(d, group)
+
+    @pytest.mark.parametrize(
+        "group",
+        [
+            generate_group([rot("(1234)"), rot("(13)")], "dihedral"),  # 5 classes
+            FiniteRotationGroup(generate_group([rot("(123)")]).elements),  # odd order
+        ],
+        ids=("dihedral", "cyclic3"),
+    )
+    @pytest.mark.parametrize("fixture", ["commuting.sld", "transport.sld", None])
+    def test_custom_groups(self, fixture, group):
+        d = hopf_ring(4) if fixture is None else parse((FIXTURES / fixture).read_text()).diagram()
+        assert_matches_reference(d, group)
+        # odd order: no involutions, so no Hopf node has a domain
+        has_solutions = len(group) % 2 == 0
+        assert bool(enumerate_valid_decorations(d, SearchOptions(group))) == has_solutions
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(GROUPS))
