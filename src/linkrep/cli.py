@@ -33,7 +33,7 @@ from .obstructions import (
     connected_sum_obstruction,
     divisibility_obstruction,
 )
-from .rotation import GroupTable, RotationElement, preset_group
+from .rotation import FiniteRotationGroup, RotationElement, preset_group
 from .search import (
     SearchOptions,
     StructuralConditionError,
@@ -49,10 +49,10 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _element_json(table: GroupTable, g: RotationElement) -> Dict:
+def _element_json(group: FiniteRotationGroup, g: RotationElement) -> Dict:
     """A fresh dict, {"perm": cycles} or {"matrix": [nine entries]}, built
-    from the form the table computed once for g."""
-    kind, value = table.forms[table.index_of(g)]
+    from the form the group computed once for g."""
+    kind, value = group.forms[group.index_of(g)]
     return {kind: list(value) if kind == "matrix" else value}
 
 
@@ -97,11 +97,8 @@ def _report_skeleton() -> Dict:
 def _diagram_obstructions(b2: int) -> Dict:
     if b2 == 0:
         return {"psq": None, "b2_mod4": 0, "verdict": True}
-    return {
-        "psq": (-b2) % 4,  # the Pontryagin square of the all-ones class
-        "b2_mod4": b2 % 4,
-        "verdict": b2 % 4 == 0,
-    }
+    rep = divisibility_obstruction(b2)
+    return {"psq": rep.psq, "b2_mod4": b2 % 4, "verdict": rep.divisibility_pass}
 
 
 def _fill_diagram_fields(report: Dict, d: SingularLinkDiagram) -> None:
@@ -201,12 +198,11 @@ def cmd_search(args) -> int:
     report = _report_skeleton()
     report["wellformed"] = True
     _fill_diagram_fields(report, d)
-    table = group.table
     report["search"] = {
         "raw_solutions": len(solutions),
         "classes": classes,
         "solutions": [
-            {node: _element_json(table, g) for node, g in dec.mapping} for dec in solutions
+            {node: _element_json(group, g) for node, g in dec.mapping} for dec in solutions
         ],
     }
     if cache_file is not None:

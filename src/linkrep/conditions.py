@@ -22,7 +22,7 @@ from .diagram import (
     check_selfint_structure,
     ribbon_genus,
 )
-from .rotation import GroupTable, RotationElement, conjugate, is_involution
+from .rotation import FiniteRotationGroup, RotationElement, conjugate, is_involution
 
 
 class DecorationError(Exception):
@@ -33,30 +33,30 @@ class DecorationError(Exception):
 class Decoration:
     """Total map node id -> rotation.  Both circles of a Hopf pair share
     their node's element.  Lookups go through a dict index that is built
-    once and takes no part in comparison.  When one GroupTable owns every
-    element, construction also notes that table and each node's index in
-    it, so the checks fold words on the table."""
+    once and takes no part in comparison.  When one FiniteRotationGroup
+    owns every element, construction also notes that group and each node's
+    index in it, so the checks fold words on its table."""
 
     mapping: Tuple[Tuple[str, RotationElement], ...]
     _index: Dict[str, RotationElement] = field(init=False, repr=False, compare=False)
-    # the GroupTable owning every element, else None; then _at is None too
-    _table: Optional[GroupTable] = field(init=False, repr=False, compare=False)
+    # the group owning every element, else None; then _at is None too
+    _group: Optional[FiniteRotationGroup] = field(init=False, repr=False, compare=False)
     _at: Optional[Dict[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index: Dict[str, RotationElement] = {}
         at: Optional[Dict[str, int]] = {}
-        table = self.mapping[0][1]._table if self.mapping else None
+        group = self.mapping[0][1]._group if self.mapping else None
         for k, v in self.mapping:
             if k not in index:  # the first pair of a node wins
                 index[k] = v
                 at[k] = v._index
-                if v._table is not table:
-                    table = None
-        if table is None:
+                if v._group is not group:
+                    group = None
+        if group is None:
             at = None
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_group", group)
         object.__setattr__(self, "_at", at)
 
     @staticmethod
@@ -116,13 +116,13 @@ def _signed_product(factors: Iterable[Tuple[RotationElement, int]]) -> RotationE
 
 
 def _word_index(
-    word: Word, assignment: Dict[str, int], table: GroupTable
+    word: Word, assignment: Dict[str, int], group: FiniteRotationGroup
 ) -> Optional[int]:
-    """The table index of the product of a signed word (an arc's holonomy
+    """The group index of the product of a signed word (an arc's holonomy
     C(A) or a member word), leftmost factor first, or None while a node of
     the word is unassigned."""
-    mul, inv = table.mul, table.inv
-    out = table.identity
+    mul, inv = group.mul, group.inv
+    out = group.identity
     for ref, sign in word:
         g = assignment.get(ref.node)
         if g is None:
@@ -145,16 +145,16 @@ def holonomy_word(a: ArcBand, dec: Decoration) -> RotationElement:
 def check_relators(d: SingularLinkDiagram, dec: Decoration) -> CheckResult:
     """Every arc must conjugate its start decoration to its end decoration:
     h = C(A) g C(A)^-1 with the arc oriented start -> end, tested as
-    C(A) g = h C(A), or as conj[C(A)][g] = h on the table that owns the
+    C(A) g = h C(A), or as conj[C(A)][g] = h on the group that owns the
     decoration."""
     ensure_total(d, dec)
-    table, at = dec._table, dec._at
-    if table is not None:
-        conj = table.conj
+    group, at = dec._group, dec._at
+    if group is not None:
+        conj = group.conj
         failed = [
             a
             for a in d.arcs
-            if conj[_word_index(a.word, at, table)][at[a.start.node]] != at[a.end.node]
+            if conj[_word_index(a.word, at, group)][at[a.start.node]] != at[a.end.node]
         ]
     else:
         index = dec._index
@@ -210,8 +210,12 @@ def _simple_path_products(
 
     Products fold along the walk: a prefix shared with the previous path is
     not multiplied again, and prefixes of no path to dst are not multiplied.
-    The walk keeps its own stack, so paths may be longer than the
-    interpreter's recursion limit.
+    The walk steps into a circle only if dst can still be reached from it
+    avoiding the circles already on the path (the polynomial-delay walk of
+    Read & Tarjan, 1975), so every branch it enters ends in a path: a dead
+    end costs one search, not every simple path into it.  The paths and
+    their order are those of the unpruned walk.  The walk keeps its own
+    stack, so paths may be longer than the interpreter's recursion limit.
     """
     if src == dst:
         yield RotationElement.identity()
@@ -232,7 +236,7 @@ def _simple_path_products(
             continue
         a, direction = step
         nxt = a.end.circle_id if direction == 1 else a.start.circle_id
-        if nxt in seen:
+        if nxt in seen or nxt != dst and not _reaches(adj, nxt, dst, seen):
             continue
         steps.append(step)
         if nxt != dst:
@@ -249,6 +253,21 @@ def _simple_path_products(
         del folded[len(steps) :]
 
 
+def _reaches(adj: Adjacency, start: str, dst: str, avoid: set) -> bool:
+    """Whether an arc path leads from start to dst through no circle of
+    avoid."""
+    stack, visited = [start], {start}
+    while stack:
+        for a, direction in adj.get(stack.pop(), ()):
+            nxt = a.end.circle_id if direction == 1 else a.start.circle_id
+            if nxt == dst:
+                return True
+            if nxt not in visited and nxt not in avoid:
+                visited.add(nxt)
+                stack.append(nxt)
+    return False
+
+
 def check_sw(
     d: SingularLinkDiagram, dec: Decoration, exhaustive_paths: bool = False
 ) -> CheckResult:
@@ -256,28 +275,31 @@ def check_sw(
     transport P = C(A_k)^(+-1) ... C(A_1)^(+-1) along the shortest member
     path A_1, ..., A_k from member a to member b avoids {I, g}.  P is the
     product of the diagram's member word.  (When the relators hold, P g P^-1
-    is g, so P commutes with g; tests pin that theorem.)  On the table that
-    owns the decoration, P is folded on indices like an arc's holonomy.
-    With exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
+    is g, so P commutes with g; tests pin that theorem.)  The word folds on
+    indices (_word_index) when one group owns the decoration, else on
+    elements (_word_product); the verdicts are the same.  With
+    exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
     checked for a verdict differing from the shortest path's, on elements;
     there each arc's holonomy is computed at most once per call.  The member
     words and the adjacency are the diagram's own, built once per diagram."""
     ensure_total(d, dec)
-    if dec._table is not None and not exhaustive_paths:
-        return _check_sw_on_table(d, dec._table, dec._at)
     identity = RotationElement.identity()
-    holonomies: Dict[str, RotationElement] = {}
+    elements, group = dec._index, dec._group
+    # P and g as elements, or as indices of the group that owns dec
+    values, one = (elements, identity) if group is None else (dec._at, group.identity)
+    if exhaustive_paths:
+        holonomies: Dict[str, RotationElement] = {}
 
-    def holonomy(a: ArcBand) -> RotationElement:
-        c = holonomies.get(a.id)
-        if c is None:
-            c = holonomies[a.id] = holonomy_word(a, dec)
-        return c
+        def holonomy(a: ArcBand) -> RotationElement:
+            c = holonomies.get(a.id)
+            if c is None:
+                c = holonomies[a.id] = holonomy_word(a, dec)
+            return c
 
     diagnostics: List[str] = []
     passed = True
     for h in d.hopfs:
-        g = dec[h]
+        g = elements[h]
         if not is_involution(g):
             diagnostics.append(f"hopf {h}: decoration is not a pi-rotation")
             passed = False
@@ -287,8 +309,11 @@ def check_sw(
             raise DiagramError(
                 f"hopf {h}: no arc path between members (selfint precondition)"
             )
-        p = _word_product(word, dec)
-        if p == identity or p == g:
+        if group is None:
+            p = _word_product(word, dec)
+        else:
+            p = _word_index(word, values, group)
+        if p == one or p == values[h]:
             diagnostics.append(f"hopf {h}: path product lies in {{I, g}}")
             passed = False
         if exhaustive_paths:
@@ -306,28 +331,6 @@ def check_sw(
                     "were examined"
                 )
     return CheckResult("sw", passed, tuple(diagnostics))
-
-
-def _check_sw_on_table(
-    d: SingularLinkDiagram, table: GroupTable, at: Dict[str, int]
-) -> CheckResult:
-    """check_sw's shortest-path verdicts for a decoration that one table
-    owns, given as node -> index: every word folds on the table."""
-    diagnostics: List[str] = []
-    for h in d.hopfs:
-        g = at[h]
-        if g not in table.involutions:
-            diagnostics.append(f"hopf {h}: decoration is not a pi-rotation")
-            continue
-        word = d.member_words[h]
-        if word is None:
-            raise DiagramError(
-                f"hopf {h}: no arc path between members (selfint precondition)"
-            )
-        p = _word_index(word, at, table)
-        if p == table.identity or p == g:
-            diagnostics.append(f"hopf {h}: path product lies in {{I, g}}")
-    return CheckResult("sw", not diagnostics, tuple(diagnostics))
 
 
 def run_all_checks(

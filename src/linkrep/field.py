@@ -63,10 +63,6 @@ class ExactScalar:
         return ExactScalar(a, b)
 
     @staticmethod
-    def sqrt5() -> "ExactScalar":
-        return _fields(0, 1, 1)
-
-    @staticmethod
     def golden_ratio() -> "ExactScalar":
         """(1 + sqrt(5)) / 2, the generator used by the icosahedral preset."""
         return _fields(1, 1, 2)

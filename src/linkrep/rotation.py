@@ -2,13 +2,14 @@
 
 Provides the rotation element type, conjugation, involution and axis
 extraction, the dictionary between S4 (permuting the four cube diagonals) and
-the 24 cube rotations, and finite groups closed from generators, each with a
-Cayley table built on first use.  The elements a table owns know their index
-in it, so products, inverses, equality and lookups among them are table
-reads: two elements of one table are equal iff their indices are.  The table
-also holds the facts about single elements that searches and reports ask for
-repeatedly (the conjugation table, each involution's axis, each element's
-output form), each built in one pass on first use, so at most once per index.
+the 24 cube rotations, and finite groups closed from generators.  A finite
+group is its Cayley table, built and validated when the group is.  The
+elements a group owns know their index in it, so products, inverses,
+equality and lookups among them are table reads: two elements of one group
+are equal iff their indices are.  The group also holds the facts about
+single elements that searches and reports ask for repeatedly (the
+conjugation table, each involution's axis, each element's output form), each
+built in one pass on first use, so at most once per index.
 
 Composition convention, used everywhere in the package: (g * h) applies h
 first, then g.  Permutation composition follows the same convention.
@@ -17,7 +18,7 @@ first, then g.  Permutation composition follows the same convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -29,16 +30,17 @@ from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_scalar, outer
 class RotationElement:
     """An exact special-orthogonal 3x3 matrix.
 
-    An element owned by a GroupTable carries the table and its index there.
-    These are plain attributes, not fields: repr and hash ignore them, and
-    pickling or copying drops them.  Two elements of one table compare by
-    index, as do a table element and the identity constant; every other
-    pair compares by matrix, which gives the same answer.
+    An element owned by a FiniteRotationGroup carries the group and its
+    index there.  These are plain attributes, not fields: repr and hash
+    ignore them, and pickling or copying drops them.  Two elements of one
+    group compare by index, as do a group's element and the identity
+    constant; every other pair compares by matrix, which gives the same
+    answer.
     """
 
     m: Matrix3
 
-    _table = None  # the owning GroupTable, set by _close
+    _group = None  # the owning FiniteRotationGroup, set by _close
     _index = -1
 
     def __post_init__(self):
@@ -68,9 +70,9 @@ class RotationElement:
     def __eq__(self, other) -> bool:
         if other.__class__ is not RotationElement:
             return NotImplemented
-        t = self._table
+        t = self._group
         if t is not None:
-            if t is other._table:
+            if t is other._group:
                 return self._index == other._index
             if other is _IDENTITY:
                 return self._index == t.identity
@@ -82,10 +84,10 @@ class RotationElement:
         return hash((self.m,))
 
     def __mul__(self, other: "RotationElement") -> "RotationElement":
-        t = self._table
-        if t is not None and t is other._table:
+        t = self._group
+        if t is not None and t is other._group:
             return t.elements[t.mul[self._index][other._index]]
-        # the identity constant (an empty word's holonomy) is in no table
+        # the identity constant (an empty word's holonomy) is in no group
         if self is _IDENTITY:
             return other
         if other is _IDENTITY:
@@ -94,7 +96,7 @@ class RotationElement:
         return RotationElement._new(self.m * other.m)
 
     def inverse(self) -> "RotationElement":
-        t = self._table
+        t = self._group
         if t is not None:
             return t.elements[t.inv[self._index]]
         if self is _IDENTITY:
@@ -127,8 +129,8 @@ def conjugate(g: RotationElement, h: RotationElement) -> RotationElement:
 def is_involution(g: RotationElement) -> bool:
     """True iff g is a rotation by pi: trace 1 + 2 cos(theta) = -1.
     (Equivalent to g != I and g*g = I; tests pin the equivalence.)  An
-    element a table owns is looked up in the table's involutions."""
-    t = g._table
+    element a group owns is looked up in the group's involutions."""
+    t = g._group
     if t is not None:
         return g._index in t.involutions
     return g.trace() == ExactScalar.of(-1)
@@ -136,8 +138,8 @@ def is_involution(g: RotationElement) -> bool:
 
 def axis_of_involution(g: RotationElement) -> AxisLine:
     """The fixed line of a pi-rotation: any nonzero column of g + I.  The
-    axis of an involution a table owns is computed once, by the table."""
-    t = g._table
+    axis of an involution a group owns is computed once, by the group."""
+    t = g._group
     axis = None if t is None else t.axes.get(g._index)
     return _axis(g) if axis is None else axis
 
@@ -264,7 +266,7 @@ def _diagonal_action(g: RotationElement) -> CubePermutation:
 
 @lru_cache(maxsize=1)
 def _cube_perms() -> tuple:
-    """The diagonal permutation of each octahedral element, by table index."""
+    """The diagonal permutation of each octahedral element, by index."""
     return tuple(map(_diagonal_action, octahedral_group().elements))
 
 
@@ -281,9 +283,9 @@ def perm_to_rotation(p: CubePermutation) -> RotationElement:
 
 
 def rotation_to_perm(g: RotationElement) -> Optional[CubePermutation]:
-    """Inverse dictionary lookup through the octahedral table; None if g is
+    """Inverse dictionary lookup through the octahedral group; None if g is
     not a cube rotation."""
-    i = octahedral_group().table.index_of(g)
+    i = octahedral_group().index_of(g)
     return None if i is None else _cube_perms()[i]
 
 
@@ -295,7 +297,7 @@ def rot(cycles: str) -> RotationElement:
 def _output_form(g: RotationElement) -> tuple:
     """How reports print g: ("perm", its cycle notation) for a cube
     rotation, else ("matrix", its nine entries in row-major order as exact
-    strings).  Only GroupTable.forms calls it."""
+    strings).  Only FiniteRotationGroup.forms calls it."""
     perm = rotation_to_perm(g)
     if perm is not None:
         return ("perm", perm.cycle_str())
@@ -309,39 +311,63 @@ def _output_form(g: RotationElement) -> tuple:
 GROUP_SIZE_LIMIT = 200
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """Cayley table of a finite rotation group.  Indices follow sort_key
-    order, so comparing index tuples compares element tuples.
+class FiniteRotationGroup:
+    """A finite subgroup of SO(3), held as its Cayley table.
 
-    The table owns its elements (each knows its index here), and two of them
-    are equal iff their indices are.  Besides the fields, built with the
-    table, it holds data about single elements, each built in one pass on
-    first use (so at most once per index), immutable, and kept as long as
-    the table lives:
-      conj[c][g]   the conjugation table;
+    Indices follow sort_key order, so comparing index tuples compares
+    element tuples.  The group owns its elements (each knows its index
+    here), and two of them are equal iff their indices are.  Built with the
+    group:
+      elements     the elements, in sort_key order;
+      index        sort_key -> index;
+      mul[i][j]    the index of elements[i] * elements[j];
+      inv[i]       the index of elements[i]^-1;
+      identity     the index of the identity;
+      involutions  the indices of the pi-rotations, ascending.
+    Facts about single elements are built in one pass on first use (so at
+    most once per index) and kept as long as the group lives:
+      conj[c][g]   the index of elements[c] * elements[g] * elements[c]^-1;
       axes[i]      the AxisLine of the involution elements[i];
       forms[i]     how reports print elements[i]: ("perm", cycles) for a
                    cube rotation, else ("matrix", nine exact strings).
+    A group is immutable and equal only to itself.
     """
 
-    elements: tuple
-    index: dict  # sort_key -> index
-    mul: tuple  # mul[i][j] = index of elements[i] * elements[j]
-    inv: tuple
-    identity: int
-    involutions: tuple  # indices of the pi-rotations, ascending
+    def __new__(cls, elements: Sequence[RotationElement], name: str = "custom"):
+        """The group of the given elements, in any order: ValueError unless
+        they are closed under product (so a group is never empty)."""
+        group = _close(elements, name)
+        # the closure holds the identity and every given element
+        if len(group) != len({g.sort_key() for g in elements}):
+            raise ValueError("group elements are not their own closure")
+        return group
+
+    def __setattr__(self, *_):
+        raise AttributeError("FiniteRotationGroup is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"<FiniteRotationGroup {self.name!r} of order {len(self)}>"
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, g: RotationElement) -> bool:
+        return self.index_of(g) is not None
 
     def index_of(self, g: RotationElement) -> Optional[int]:
         """The index of g, or None if g is not in the group: the element's
-        own index when this table owns it, a sort_key lookup otherwise."""
-        if g._table is self:
+        own index when this group owns it, a sort_key lookup otherwise."""
+        if g._group is self:
             return g._index
         return self.index.get(g.sort_key())
 
     @cached_property
     def conj(self) -> tuple:
-        """conj[c][g] = index of elements[c] * elements[g] * elements[c]^-1."""
         mul, inv = self.mul, self.inv
         return tuple(
             tuple(mul[row[g]][inv[c]] for g in range(len(row)))
@@ -358,12 +384,12 @@ class GroupTable:
         return tuple(map(_output_form, self.elements))
 
 
-def _close(gens: Sequence[RotationElement]) -> GroupTable:
-    """Close a generator set under right multiplication by the generators.
+def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
+    """The group generated by gens, closed under right multiplication by them.
 
     That costs |G| * len(gens) products.  Each new element is reached as
     parent * gens[k]; the rest of the table follows by index from these
-    words, since x * (parent * g_k) = (x * parent) * g_k.  The table owns
+    words, since x * (parent * g_k) = (x * parent) * g_k.  The group owns
     the elements it finds, fresh objects that it tags with their index.
     """
     found = [RotationElement._new(Matrix3.identity())]
@@ -392,50 +418,21 @@ def _close(gens: Sequence[RotationElement]) -> GroupTable:
             row[j] = right[row[parent]][k]
         mul[rank[x]] = tuple(rank[row[j]] for j in order)
     e = rank[0]
-    table = GroupTable(
-        elements=tuple(found[j] for j in order),
-        index={found[j].sort_key(): r for r, j in enumerate(order)},
+    elements = tuple(found[j] for j in order)
+    group = object.__new__(FiniteRotationGroup)
+    group.__dict__.update(
+        elements=elements,
+        name=name,
+        index={key: rank[j] for key, j in where.items()},
         mul=tuple(mul),
         inv=tuple(row.index(e) for row in mul),
         identity=e,
         involutions=tuple(i for i, row in enumerate(mul) if row[i] == e != i),
     )
-    for i, g in enumerate(table.elements):
-        object.__setattr__(g, "_table", table)
+    for i, g in enumerate(elements):
+        object.__setattr__(g, "_group", group)
         object.__setattr__(g, "_index", i)
-    return table
-
-
-@dataclass(frozen=True)
-class FiniteRotationGroup:
-    """A finite subgroup of SO(3), closed under product and inverse.
-
-    Its Cayley table is closed from `generators` (all elements when none are
-    given) on first use and cached on the group.
-    """
-
-    elements: tuple
-    name: str = "custom"
-    generators: tuple = field(default=(), compare=False, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g: RotationElement) -> bool:
-        return self.table.index_of(g) is not None
-
-    @cached_property
-    def table(self) -> GroupTable:
-        table = _close(self.generators or self.elements)
-        if sorted(table.index) != sorted(g.sort_key() for g in self.elements):
-            raise ValueError("group elements are not the closure of the generators")
-        return table
-
-    def involutions(self) -> tuple:
-        return tuple(self.table.elements[i] for i in self.table.involutions)
+    return group
 
 
 def generate_group(
@@ -444,10 +441,7 @@ def generate_group(
     """Closure of a nonempty generator set; elements in sort_key order."""
     if not gens:
         raise ValueError("generator list must be nonempty")
-    table = _close(gens)
-    group = FiniteRotationGroup(table.elements, name, tuple(gens))
-    group.__dict__["table"] = table  # the closure already built it
-    return group
+    return _close(gens, name)
 
 
 @lru_cache(maxsize=1)

@@ -1,9 +1,9 @@
 """Decoration search over a finite rotation group, with conjugacy counting.
 
-Backtracking works on indices into the group's Cayley table (no matrix
-products) and assigns nodes in an order that maximizes forced conjugation
-propagation: an arc whose word mentions only assigned nodes determines one
-endpoint from the other.  Propagation follows the trail of newly assigned
+Backtracking works on indices into the group's Cayley table (a finite
+group is its table, so no matrix products) and assigns nodes in an order
+that maximizes forced conjugation propagation: an arc whose word mentions
+only assigned nodes determines one endpoint from the other.  Propagation follows the trail of newly assigned
 nodes and visits only the arcs that mention them (the diagram's watch
 lists).
 
@@ -13,13 +13,13 @@ relator and Stiefel-Whitney verdict.  So the first node of the order ranges
 over one representative r per conjugacy class of its domain (two involution
 classes in the octahedral group, one in the icosahedral, every class for a
 simple circle), and each leaf found below r is carried to the others by a
-left transversal of the centralizer C(r), read from the table's conjugation
+left transversal of the centralizer C(r), read from the group's conjugation
 table.  The images differ at the first node, so none repeats, and the
 expanded leaves are exactly the leaves of the unbroken search.
 
 Every expanded leaf is verified by the public condition checks.  Its
-elements belong to one table, so the checks fold its words on table indices
-with the same _word_index the backtracking uses.
+elements belong to one group, so the checks fold its words on the group's
+indices with the same _word_index the backtracking uses.
 
 With SearchOptions.prune_sw, once every node a Hopf node's
 Stiefel-Whitney verdict depends on is assigned, the verdict is computed on
@@ -34,14 +34,14 @@ default because the benchmark pins the number of re-verified REF-1 leaves
 Classes are counted one orbit at a time (the orbit algorithm, Holt, Eick &
 O'Brien, Handbook of Computational Group Theory, ch. 4): each distinct index
 tuple not yet seen has its whole conjugation orbit in the group read from
-the table's conjugation table; the orbit's members are marked seen and its
+the group's conjugation table; the orbit's members are marked seen and its
 minimum kept.  That takes |G| conjugates per orbit, not per solution.
 
 Solution tuples of pi-rotations are compared up to simultaneous rotation via
 an exact invariant of their axis configuration: the pairwise squared-cosine
 matrix plus the sign pattern of the Gram entries and of all axis triple
 products, minimized over independent per-axis sign flips.  It is computed
-once per conjugacy orbit in the group, from the axes the table holds.
+once per conjugacy orbit in the group, from the axes the group holds.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .field import (
 )
 from .rotation import (
     FiniteRotationGroup,
-    GroupTable,
     RotationElement,
     axis_of_involution,
     is_involution,
@@ -83,12 +82,10 @@ class StructuralConditionError(Exception):
 class SearchOptions:
     group: FiniteRotationGroup
     dedup: str = "so3_canonical"  # none | group_conjugacy | so3_canonical
-    # reject Stiefel-Whitney failures while backtracking, on table indices
+    # reject Stiefel-Whitney failures while backtracking, on group indices
     prune_sw: bool = False
 
     def __post_init__(self):
-        if len(self.group) == 0:
-            raise ValueError("search group must be nonempty")
         if self.dedup not in ("none", "group_conjugacy", "so3_canonical"):
             raise ValueError(f"unknown dedup mode {self.dedup!r}")
 
@@ -153,11 +150,11 @@ def enumerate_valid_decorations(
         return []
 
     nodes = _node_order(d)
-    table = opts.group.table
-    elements, inv, conj = table.elements, table.inv, table.conj
+    group = opts.group
+    elements, inv, conj = group.elements, group.inv, group.conj
     # Hopf nodes carry pi-rotations (check_sw rejects anything else)
     domains = {node: list(range(len(elements))) for node in d.circles}
-    domains.update({node: list(table.involutions) for node in d.hopfs})
+    domains.update({node: list(group.involutions) for node in d.hopfs})
     allowed_sets = {node: set(dom) for node, dom in domains.items()}
     watchers = d.arcs_mentioning
     # a Hopf node's SW verdict is determined once the node and every node in
@@ -171,7 +168,7 @@ def enumerate_valid_decorations(
 
     # symmetry breaking: conjugation permutes leaves and keeps every verdict
     first = nodes[0] if nodes else None
-    transversals = {None: (table.identity,)}
+    transversals = {None: (group.identity,)}
     if nodes:
         transversals = _class_transversals(domains[first], conj)
         domains[first] = list(transversals)
@@ -186,7 +183,7 @@ def enumerate_valid_decorations(
         i = 0
         while i < len(trail):
             for a in watchers[trail[i]]:
-                c = _word_index(a.word, assignment, table)
+                c = _word_index(a.word, assignment, group)
                 if c is None:
                     continue
                 g = assignment.get(a.start.node)
@@ -215,8 +212,8 @@ def enumerate_valid_decorations(
             return True
         for h in dict.fromkeys(h for node in trail for h in sw_watchers[node]):
             if all(node in assignment for node in support[h]):
-                p = _word_index(words[h], assignment, table)
-                if p == table.identity or p == assignment[h]:
+                p = _word_index(words[h], assignment, group)
+                if p == group.identity or p == assignment[h]:
                     return False
         return True
 
@@ -331,17 +328,17 @@ def count_classes(
     """
     if opts.dedup == "none":
         return len(set(tuple(dec.mapping) for dec in solutions))
-    table = opts.group.table
+    group = opts.group
     if opts.dedup == "group_conjugacy":
         # whole decorations up to simultaneous conjugation in the group
         decorations = [[g for _, g in dec.mapping] for dec in solutions]
-        return len(_orbit_minima(decorations, table))
-    reps = _orbit_minima([[dec[h] for h in hopf_order] for dec in solutions], table)
-    return len({canonical_class([table.elements[i] for i in rep]) for rep in reps})
+        return len(_orbit_minima(decorations, group))
+    reps = _orbit_minima([[dec[h] for h in hopf_order] for dec in solutions], group)
+    return len({canonical_class([group.elements[i] for i in rep]) for rep in reps})
 
 
 def _orbit_minima(
-    tuples: Sequence[Sequence[RotationElement]], table: GroupTable
+    tuples: Sequence[Sequence[RotationElement]], group: FiniteRotationGroup
 ) -> set:
     """The distinct orbit minima of element tuples under simultaneous
     conjugation, as index tuples; index order is sort_key order, so the
@@ -349,7 +346,7 @@ def _orbit_minima(
     tuples met."""
     index_tuples = set()
     for elements in tuples:
-        idx = tuple(table.index_of(g) for g in elements)
+        idx = tuple(group.index_of(g) for g in elements)
         if None in idx:
             raise ValueError("decoration has an element outside the group")
         index_tuples.add(idx)
@@ -358,7 +355,7 @@ def _orbit_minima(
     for idx in index_tuples:
         if idx in seen:
             continue
-        orbit = {tuple(row[g] for g in idx) for row in table.conj}
+        orbit = {tuple(row[g] for g in idx) for row in group.conj}
         seen |= orbit
         reps.add(min(orbit))
     return reps

@@ -135,8 +135,13 @@ def search_space(d: SingularLinkDiagram, group) -> int:
     size = 1
     for root in {find(n) for n in parent}:
         hopf = any(find(h) == root for h in d.hopfs)
-        size *= len(group.table.involutions) if hopf else len(group)
+        size *= len(group.involutions) if hopf else len(group)
     return size
+
+
+def involution_elements(group) -> tuple:
+    """The group's pi-rotations, read from their indices."""
+    return tuple(group.elements[i] for i in group.involutions)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from linkrep.conditions import (
     check_sw,
 )
 from linkrep.diagram import ArcBand, SingularLinkDiagram
-from linkrep.rotation import GroupTable, RotationElement
+from linkrep.rotation import FiniteRotationGroup, RotationElement
 from linkrep.search import SearchOptions, StructuralConditionError
 
 
@@ -33,11 +33,11 @@ def reference_enumerate(d: SingularLinkDiagram, opts: SearchOptions) -> List[Dec
         return []
 
     nodes = _node_order(d)
-    table = opts.group.table
-    elements, mult, inv = table.elements, table.mul, table.inv
-    identity_idx = table.identity
+    group = opts.group
+    elements, mult, inv = group.elements, group.mul, group.inv
+    identity_idx = group.identity
     domains = {node: list(range(len(elements))) for node in d.circles}
-    domains.update({node: list(table.involutions) for node in d.hopfs})
+    domains.update({node: list(group.involutions) for node in d.hopfs})
     allowed_sets = {node: set(dom) for node, dom in domains.items()}
 
     assignment: Dict[str, int] = {}
@@ -107,13 +107,13 @@ def reference_enumerate(d: SingularLinkDiagram, opts: SearchOptions) -> List[Dec
 
 
 def reference_orbit_minima(
-    tuples: Sequence[Sequence[RotationElement]], table: GroupTable
+    tuples: Sequence[Sequence[RotationElement]], group: FiniteRotationGroup
 ) -> set:
     """The orbit minimum of every tuple, each conjugated by every element."""
-    mul, inv = table.mul, table.inv
+    mul, inv = group.mul, group.inv
     reps = set()
     for elements in tuples:
-        idx = [table.index_of(g) for g in elements]
+        idx = [group.index_of(g) for g in elements]
         if None in idx:
             raise ValueError("decoration has an element outside the group")
         reps.add(

@@ -41,7 +41,7 @@ from linkrep.search import (
 )
 from linkrep.sldfile import parse, serialize
 
-from conftest import random_diagram, ref1_decoration, ref1_diagram
+from conftest import involution_elements, random_diagram, ref1_decoration, ref1_diagram
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -205,7 +205,7 @@ def test_criterion_8_rotation_layer():
         for p in perms:
             for q in perms:
                 assert perm_to_rotation(p * q) == perm_to_rotation(p) * perm_to_rotation(q)
-        involutions = octahedral_group().involutions()
+        involutions = involution_elements(octahedral_group())
         assert len(involutions) == 9
         assert axis_of_involution(rot("(12)")) == AxisLine.of(0, 1, 1)
         assert axis_of_involution(rot("(34)")) == AxisLine.of(0, 1, -1)

@@ -231,23 +231,23 @@ class TestElementJson:
 
     def test_cached_form_equals_the_computation(self):
         for name in ("tetrahedral", "octahedral", "icosahedral"):
-            table = preset_group(name).table
-            for g in table.elements:
-                assert _element_json(table, g) == self.uncached(g)
+            group = preset_group(name)
+            for g in group:
+                assert _element_json(group, g) == self.uncached(g)
 
     def test_callers_get_fresh_objects(self):
-        table = icosahedral_group().table
-        g = next(g for g in table.elements if rotation_to_perm(g) is None)
-        first = _element_json(table, g)
+        ico = icosahedral_group()
+        g = next(g for g in ico if rotation_to_perm(g) is None)
+        first = _element_json(ico, g)
         want = self.uncached(g)
         assert first == want
         first["matrix"][0] = "junk"
         first["extra"] = 1
-        assert _element_json(table, g) == want
-        table = octahedral_group().table
-        h = table.elements[5]
-        _element_json(table, h)["perm"] = "junk"
-        assert _element_json(table, h) == self.uncached(h)
+        assert _element_json(ico, g) == want
+        oct_ = octahedral_group()
+        h = oct_.elements[5]
+        _element_json(oct_, h)["perm"] = "junk"
+        assert _element_json(oct_, h) == self.uncached(h)
 
 
 class TestParserReuse:

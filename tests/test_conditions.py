@@ -46,6 +46,7 @@ from linkrep.sldfile import parse
 
 from conftest import (
     FIXTURES,
+    involution_elements,
     random_decoration,
     random_diagram,
     ref1_decoration,
@@ -385,6 +386,65 @@ def doubled_chain(links: int) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def dead_end_chain(links: int) -> str:
+    """A Hopf pair H whose members are joined by one arc with the empty
+    word, and a doubled chain H.a = D0, D1, ..., D(links) hanging off H.a
+    that never reaches H.b: 2**links simple paths lead into the chain, and
+    none of them is a member path.  H is (12), every D is (34)."""
+    ends = ["H.a"] + [f"D{i}" for i in range(1, links + 1)]
+    lines = ["group octahedral", "hopf H"] + [f"circle {c}" for c in ends[1:]]
+    lines.append("arc M from H.a slot 0 to H.b slot 0 word")
+    slot = dict.fromkeys(ends, 0)
+    slot["H.a"] = 1
+    for i, (u, v) in enumerate(zip(ends, ends[1:])):
+        for tag in "ab":
+            lines.append(f"arc L{i}{tag} from {u} slot {slot[u]} to {v} slot {slot[v]} word")
+            slot[u] += 1
+            slot[v] += 1
+    lines.append('decorate H = perm "(12)"')
+    lines += [f'decorate {c} = perm "(34)"' for c in ends[1:]]
+    return "".join(line + "\n" for line in lines)
+
+
+def _with_dead_ends(d, rng):
+    """d with one to three branches of new circles hung off random circles
+    of d.  A branch is a chain of one to four links, each of one or two
+    arcs, and meets the rest of d only at its root, so a simple path that
+    enters it from the root cannot leave it."""
+    refs = [CircleRef(c) for c in d.circles]
+    refs += [CircleRef(h, m) for h in d.hopfs for m in ("a", "b")]
+    slots = {r.circle_id: 0 for r in refs}
+    for a in d.arcs:
+        for ref, slot in ((a.start, a.start_slot), (a.end, a.end_slot)):
+            slots[ref.circle_id] = max(slots[ref.circle_id], slot + 1)
+    circles, arcs = list(d.circles), list(d.arcs)
+    for b in range(rng.randint(1, 3)):
+        chain = [rng.choice(refs)]
+        for i in range(rng.randint(1, 4)):
+            circles.append(f"e{b}_{i}")
+            chain.append(CircleRef(circles[-1]))
+            slots[circles[-1]] = 0
+        for u, v in zip(chain, chain[1:]):
+            for _ in range(rng.randint(1, 2)):
+                start, end = (u, v) if rng.random() < 0.5 else (v, u)
+                word = tuple(
+                    (rng.choice(refs), rng.choice((1, -1))) for _ in range(rng.randint(0, 2))
+                )
+                arcs.append(
+                    ArcBand(
+                        f"x{len(arcs)}",
+                        start,
+                        slots[start.circle_id],
+                        end,
+                        slots[end.circle_id],
+                        word,
+                    )
+                )
+                slots[start.circle_id] += 1
+                slots[end.circle_id] += 1
+    return SingularLinkDiagram(circles=tuple(circles), hopfs=d.hopfs, arcs=tuple(arcs))
+
+
 def _reference_path_products(d, dec, src, dst):
     """Reference: every simple member path enumerated depth first, with its
     transport C(A_k)^(+-1) ... C(A_1)^(+-1) folded on its own."""
@@ -410,19 +470,41 @@ def _reference_path_products(d, dec, src, dst):
 
 
 class TestExhaustivePaths:
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_products_equal_the_per_path_refold(self, seed):
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dead_ends=st.booleans())
+    def test_products_equal_the_per_path_refold(self, seed, dead_ends):
         rng = random.Random(seed)
         d = random_diagram(rng)
+        if dead_ends:
+            d = _with_dead_ends(d, rng)
         dec = random_decoration(d, rng)
         adj = d.adjacency
-        for h in d.hopfs:
-            src, dst = f"{h}.a", f"{h}.b"
+        # the member paths, and a path between two circles of any kind
+        pairs = [(f"{h}.a", f"{h}.b") for h in d.hopfs]
+        if len(adj) > 1:
+            pairs.append(tuple(rng.sample(sorted(adj), 2)))
+        for src, dst in pairs:
             got = linkrep.conditions._simple_path_products(
                 adj, src, dst, lambda a: holonomy_word(a, dec)
             )
             assert list(islice(got, 500)) == _reference_path_products(d, dec, src, dst)[:500]
+
+    def test_dead_end_chain_report_is_prompt(self, tmp_path):
+        from linkrep.cli import main
+
+        path = tmp_path / "dead40.sld"
+        path.write_text(dead_end_chain(40))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out):
+            code = main(["check", "--all-sw-paths", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        # one member path, with the empty word: no path-dependent verdict
+        assert json.loads(out.getvalue())["checks"]["sw"] == {
+            "passed": False,
+            "diagnostics": ["hopf H: path product lies in {I, g}"],
+        }
 
     def test_chain_products_fold_along_the_walk(self, monkeypatch):
         links = 4
@@ -527,21 +609,21 @@ class TestDecorationIndex:
     def test_table_noted_only_when_one_table_owns_every_element(self):
         oct_, ico = octahedral_group(), icosahedral_group()
         dec = Decoration.of({"x": rot("(12)"), "y": rot("(34)")})
-        assert dec._table is oct_.table
-        index_of = oct_.table.index_of
+        assert dec._group is oct_
+        index_of = oct_.index_of
         assert dec._at == {"x": index_of(rot("(12)")), "y": index_of(rot("(34)"))}
         for mapping in (
-            {"x": rot("(12)"), "y": ico.elements[1]},  # two tables
+            {"x": rot("(12)"), "y": ico.elements[1]},  # two groups
             {"x": rot("(12)"), "y": RotationElement.identity()},  # the constant
             {"x": RotationElement.of(rot("(12)").m.rows)},  # a matrix decoration
             {},
         ):
             dec = Decoration.of(mapping)
-            assert dec._table is None and dec._at is None
+            assert dec._group is None and dec._at is None
 
 
 def _untagged(dec):
-    """The same decoration by elements no table owns, which the checks
+    """The same decoration by elements no group owns, which the checks
     multiply as matrices."""
     return Decoration(tuple((n, RotationElement.of(g.m.rows)) for n, g in dec.mapping))
 
@@ -557,7 +639,7 @@ PRESETS = [octahedral_group(), icosahedral_group(), tetrahedral_group()]
 
 
 class TestCheckPaths:
-    """check_relators and check_sw give the same CheckResult on the table
+    """check_relators and check_sw give the same CheckResult on the group
     that owns a decoration as on its untagged copy."""
 
     @settings(max_examples=150, deadline=None)
@@ -571,7 +653,7 @@ class TestCheckPaths:
         rng = random.Random(seed)
         d = generate(rng)
         # a Hopf node is mostly decorated by an involution, as solutions are
-        pools = [group.involutions()] * 4 + [group.elements]
+        pools = [involution_elements(group)] * 4 + [group.elements]
         dec = Decoration.of(
             {h: rng.choice(rng.choice(pools)) for h in d.hopfs}
             | {c: rng.choice(group.elements) for c in d.circles}
@@ -579,7 +661,7 @@ class TestCheckPaths:
         if solution and check_genus0(d).passed and search_space(d, group) <= 600:
             dec = rng.choice(enumerate_valid_decorations(d, SearchOptions(group)) or [dec])
         plain = _untagged(dec)
-        assert dec._table is group.table and plain._table is None
+        assert dec._group is group and plain._group is None
         for check in (check_relators, check_sw, partial(check_sw, exhaustive_paths=True)):
             assert _outcome(check, d, dec) == _outcome(check, d, plain)
 
@@ -606,7 +688,7 @@ class TestCheckPaths:
         dihedral = generate_group([rot("(1234)"), rot("(13)")], "dihedral")
         d = parse((FIXTURES / "commuting.sld").read_text()).diagram()
         sols = enumerate_valid_decorations(d, SearchOptions(dihedral, "none"))
-        assert sols and all(dec._table is dihedral.table for dec in sols)
+        assert sols and all(dec._group is dihedral for dec in sols)
         for dec in sols:
             assert check_relators(d, dec) == check_relators(d, _untagged(dec))
             assert check_sw(d, dec) == check_sw(d, _untagged(dec))
@@ -734,7 +816,7 @@ class TestInvariance:
 
 def _group_decoration(d, group, rng):
     """Hopf nodes decorated by random involutions, circles by random elements."""
-    involutions = group.involutions()
+    involutions = involution_elements(group)
     return Decoration.of(
         {h: rng.choice(involutions) for h in d.hopfs}
         | {c: rng.choice(group.elements) for c in d.circles}

@@ -28,6 +28,8 @@ from linkrep.rotation import (
 )
 from linkrep.rotation import _cube_perms
 
+from conftest import involution_elements
+
 PRESETS = ("tetrahedral", "octahedral", "icosahedral")
 ALL_S4 = [CubePermutation(tuple(p)) for p in permutations((1, 2, 3, 4))]
 
@@ -92,8 +94,7 @@ class TestInvolutions:
 
     def test_octahedral_has_exactly_nine(self):
         group = octahedral_group()
-        invs = group.involutions()
-        assert len(invs) == 9
+        assert len(group.involutions) == 9
         for g in group:
             assert is_involution(g) == (g.trace() == ExactScalar.of(-1))
 
@@ -113,7 +114,7 @@ class TestInvolutions:
 
     def test_extracted_axis_is_fixed(self):
         for name in PRESETS:
-            for g in preset_group(name).involutions():
+            for g in involution_elements(preset_group(name)):
                 axis = axis_of_involution(g).direction
                 assert g.apply(axis) == axis
 
@@ -123,7 +124,7 @@ class TestInvolutions:
 
     def test_from_axis_pi_round_trip_on_all_involutions(self):
         for group in (octahedral_group(), icosahedral_group()):
-            for g in group.involutions():
+            for g in involution_elements(group):
                 axis = axis_of_involution(g)
                 assert from_axis_pi(axis) == g
                 assert axis_of_involution(from_axis_pi(axis)) == axis
@@ -152,7 +153,7 @@ class TestConjugation:
 
     def test_conjugation_moves_axes(self):
         for c in octahedral_group().elements[::4]:
-            for g in octahedral_group().involutions():
+            for g in involution_elements(octahedral_group()):
                 moved = conjugate(c, g)
                 assert is_involution(moved)
                 expected = AxisLine(c.apply(axis_of_involution(g).direction))
@@ -175,6 +176,17 @@ class TestGroups:
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             generate_group([])
+        # the closure of no elements holds the identity, so no group is empty
+        with pytest.raises(ValueError, match="closure"):
+            FiniteRotationGroup(())
+
+    def test_groups_are_immutable(self):
+        group = octahedral_group()
+        with pytest.raises(AttributeError):
+            group.name = "cube"
+        with pytest.raises(AttributeError):
+            del group.mul
+        assert group.name == "octahedral" and len(group.mul) == 24
 
     def test_preset_sizes(self):
         assert len(tetrahedral_group()) == 12
@@ -222,10 +234,8 @@ class TestGroups:
 class TestGroupTable:
     def test_tables_match_matrix_products(self):
         for name in PRESETS:
-            group = preset_group(name)
-            t = group.table
-            assert t.elements == group.elements
-            rows = range(len(t.elements)) if len(group) <= 24 else range(0, 60, 7)
+            t = preset_group(name)
+            rows = range(len(t)) if len(t) <= 24 else range(0, 60, 7)
             for i in rows:
                 a = t.elements[i]
                 assert t.elements[t.inv[i]] == a.inverse()
@@ -233,11 +243,11 @@ class TestGroupTable:
                     assert t.elements[t.mul[i][j]] == a * b
             assert t.elements[t.identity] == RotationElement.identity()
             assert [t.elements[i] for i in t.involutions] == [
-                g for g in group if is_involution(g)
+                g for g in t if is_involution(g)
             ]
 
     def test_index_follows_sort_key(self):
-        t = icosahedral_group().table
+        t = icosahedral_group()
         keys = [g.sort_key() for g in t.elements]
         assert keys == sorted(keys)
         assert all(t.index[k] == i for i, k in enumerate(keys))
@@ -255,7 +265,7 @@ class TestGroupTable:
         a = generate_group([rot("(12)"), rot("(1234)")])
         b = generate_group([rot("(1234)"), rot("(234)"), rot("(12)")])
         assert a.elements == b.elements == octahedral_group().elements
-        assert a.table.mul == b.table.mul == octahedral_group().table.mul
+        assert a.mul == b.mul == octahedral_group().mul
 
     def test_cold_icosahedral_build_multiplies_each_element_by_each_generator(
         self, monkeypatch
@@ -270,52 +280,54 @@ class TestGroupTable:
         monkeypatch.setattr(RotationElement, "__mul__", counting)
         icosahedral_group.cache_clear()
         try:
-            icosahedral_group().table
+            icosahedral_group()
         finally:
             icosahedral_group.cache_clear()
         # |G| * (number of generators); no |G|^2 products
         assert len(calls) <= 60 * 3
 
     def test_elements_that_are_not_the_closure_are_rejected(self):
-        half = FiniteRotationGroup(octahedral_group().elements[:12], "half")
+        # rejected when the group is built, not on first use
         with pytest.raises(ValueError, match="closure"):
-            half.table
+            FiniteRotationGroup(octahedral_group().elements[:12], "half")
+        tetrahedral = tetrahedral_group().elements
+        group = FiniteRotationGroup(tetrahedral[::-1] + tetrahedral[:1], "again")
+        assert group.elements == tetrahedral and group.name == "again"
 
 
 class TestTableElements:
-    """Elements a GroupTable owns multiply, invert and look up through it."""
+    """Elements a group owns multiply, invert and look up through its table."""
 
     def test_products_and_inverses_equal_matrix_products(self):
         for name in PRESETS:
-            t = preset_group(name).table
+            t = preset_group(name)
             for i, a in enumerate(t.elements):
-                assert a._table is t and a._index == i
+                assert a._group is t and a._index == i
                 assert a.inverse() is t.elements[t.inv[i]]
                 assert a.inverse() == RotationElement(a.m.transpose())
                 for b in t.elements:
                     product = a * b
-                    assert product._table is t
+                    assert product._group is t
                     assert product == RotationElement(a.m * b.m)
 
     def test_mixed_tables_fall_back_to_matrices(self):
         tet, oct_ = tetrahedral_group(), octahedral_group()
-        # the tetrahedral table owns elements equal to, but distinct from,
+        # the tetrahedral group owns elements equal to, but distinct from,
         # octahedral ones
-        assert tet.table.elements == tet.elements
-        assert all(g._table is tet.table for g in tet.table.elements)
-        for a in tet.table.elements:
-            for b in oct_.table.elements:
+        assert all(g._group is tet for g in tet)
+        for a in tet:
+            for b in oct_:
                 for product in (a * b, b * a):
-                    assert product._table is None
+                    assert product._group is None
                 assert a * b == RotationElement(a.m * b.m)
                 assert b * a == RotationElement(b.m * a.m)
 
     def test_identity_constant_stays_untagged(self):
         for name in PRESETS:
-            preset_group(name).table
+            preset_group(name)
         generate_group([rot("(12)"), rot("(1234)")])
         e = RotationElement.identity()
-        assert e._table is None
+        assert e._group is None
         assert e * rot("(12)") == rot("(12)")
 
     def test_pickle_and_copy_drop_the_table(self):
@@ -327,12 +339,12 @@ class TestTableElements:
                     copy.copy(g),
                 ):
                     assert twin == g and hash(twin) == hash(g)
-                    assert twin._table is None
+                    assert twin._group is None
                     assert twin * g == g * g
 
     def test_own_index_lookups_build_no_sort_key(self, monkeypatch):
         oct_ = octahedral_group()
-        oct_.table, _cube_perms()
+        _cube_perms()
         calls = []
         original = RotationElement.sort_key
         monkeypatch.setattr(
@@ -342,13 +354,13 @@ class TestTableElements:
             assert g in oct_
             assert rotation_to_perm(g) is not None
         assert calls == []
-        # elements of another table are still found by value
+        # elements of another group are still found by value
         assert icosahedral_group().elements[0] in oct_  # a coordinate flip
         assert rot("(12)") not in tetrahedral_group()
         assert len(calls) == 2
 
 
-TAGGED = [g for name in PRESETS for g in preset_group(name).table.elements]
+TAGGED = [g for name in PRESETS for g in preset_group(name)]
 COPIES = {
     "owned": lambda g: g,
     "pickled": lambda g: pickle.loads(pickle.dumps(g)),
@@ -357,7 +369,7 @@ COPIES = {
 
 
 class TestPerIndexFacts:
-    """What a GroupTable knows about single elements: equality by index, the
+    """What a group knows about single elements: equality by index, the
     conjugation table and the involution axes, each computed once."""
 
     @settings(max_examples=400, deadline=None)
@@ -377,33 +389,33 @@ class TestPerIndexFacts:
         assert (a in {b}) is (a.m == b.m)
 
     def test_elements_of_one_table_compare_by_index(self, monkeypatch):
-        tables = [preset_group(name).table for name in PRESETS]
+        groups = [preset_group(name) for name in PRESETS]
         untagged = RotationElement.of(rot("(12)").m.rows)
         compared = []
         matrix_eq = Matrix3.__eq__
         monkeypatch.setattr(
             Matrix3, "__eq__", lambda x, y: compared.append(1) or matrix_eq(x, y)
         )
-        for t in tables:
+        for t in groups:
             for i, a in enumerate(t.elements):
                 for j, b in enumerate(t.elements):
                     assert (a == b) is (i == j)
         assert compared == []
-        # different tables, or no table, compare matrices
-        assert tetrahedral_group().table.elements[0] == octahedral_group().elements[0]
+        # different groups, or no group, compare matrices
+        assert tetrahedral_group().elements[0] == octahedral_group().elements[0]
         assert untagged == rot("(12)")
         assert len(compared) == 2
 
     def test_table_elements_compare_with_the_identity_constant_by_index(self, monkeypatch):
-        tables = [preset_group(name).table for name in PRESETS]
+        groups = [preset_group(name) for name in PRESETS]
         e = RotationElement.identity()
-        expected = [[g.m == e.m for g in t.elements] for t in tables]
+        expected = [[g.m == e.m for g in t.elements] for t in groups]
         compared = []
         matrix_eq = Matrix3.__eq__
         monkeypatch.setattr(
             Matrix3, "__eq__", lambda x, y: compared.append(1) or matrix_eq(x, y)
         )
-        for t, same in zip(tables, expected):
+        for t, same in zip(groups, expected):
             assert [g == e for g in t.elements] == same
             assert [g != e for g in t.elements] == [not s for s in same]
             assert same.count(True) == 1 and same[t.identity]
@@ -411,7 +423,7 @@ class TestPerIndexFacts:
 
     def test_conjugation_table(self):
         for name in PRESETS:
-            t = preset_group(name).table
+            t = preset_group(name)
             for c, x in enumerate(t.elements):
                 for g, y in enumerate(t.elements):
                     assert t.elements[t.conj[c][g]] == RotationElement(
@@ -420,7 +432,7 @@ class TestPerIndexFacts:
 
     def test_axes_equal_the_matrix_computation(self):
         for name in PRESETS:
-            t = preset_group(name).table
+            t = preset_group(name)
             for i, g in enumerate(t.elements):
                 untagged = RotationElement.of(g.m.rows)
                 if i in t.involutions:
@@ -433,8 +445,7 @@ class TestPerIndexFacts:
     def test_each_fact_is_computed_once_per_index(self, monkeypatch):
         import linkrep.rotation
 
-        group = generate_group([rot("(12)"), rot("(1234)")])  # a fresh table
-        t = group.table
+        t = generate_group([rot("(12)"), rot("(1234)")])  # a fresh group
         calls = {"_axis": [], "_output_form": []}
         for name, seen in calls.items():
             fn = getattr(linkrep.rotation, name)

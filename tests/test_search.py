@@ -33,6 +33,7 @@ from linkrep.search import (
 
 from conftest import (
     hopf_ring,
+    involution_elements,
     random_diagram,
     ref1_decoration,
     ref1_diagram,
@@ -134,16 +135,15 @@ class TestSymmetryBreaking:
         ids=("24", "60", "12"),
     )
     def test_involution_classes(self, group, sizes):
-        table = group.table
-        found = _class_transversals(table.involutions, table.conj)
+        found = _class_transversals(group.involutions, group.conj)
         assert [len(cosets) for cosets in found.values()] == sizes
         reached = []
         for r, cosets in found.items():
-            images = [table.conj[c][r] for c in cosets]
+            images = [group.conj[c][r] for c in cosets]
             assert r == min(images)  # the least index of its class
             reached += images
         # the transversals carry each representative onto its whole class, once each
-        assert sorted(reached) == list(table.involutions)
+        assert sorted(reached) == list(group.involutions)
 
     @pytest.mark.parametrize(
         "group, sizes",
@@ -155,8 +155,7 @@ class TestSymmetryBreaking:
         ids=("24", "60", "12"),
     )
     def test_every_class_of_the_group(self, group, sizes):
-        table = group.table
-        found = _class_transversals(range(len(group)), table.conj)
+        found = _class_transversals(range(len(group)), group.conj)
         assert sorted(len(cosets) for cosets in found.values()) == sizes
 
 
@@ -172,10 +171,7 @@ class TestEquivariance:
         solutions = enumerate_valid_decorations(d, SearchOptions(group, "none"))
         found = set(solutions)
         assert len(found) == len(solutions)
-        # a finite set closed under conjugation by the generators is closed
-        # under conjugation by every element of the group they generate
-        assert group.generators
-        for c in group.generators:
+        for c in group:
             assert {dec.conjugated(c) for dec in solutions} == found
 
 
@@ -242,9 +238,9 @@ def brute_force_signs(elements):
 
 
 INVOLUTION_POOLS = {
-    "oct": octahedral_group().involutions(),
-    "ico": icosahedral_group().involutions(),
-    "mixed": octahedral_group().involutions() + icosahedral_group().involutions(),
+    "oct": involution_elements(octahedral_group()),
+    "ico": involution_elements(icosahedral_group()),
+    "mixed": involution_elements(octahedral_group()) + involution_elements(icosahedral_group()),
 }
 
 
@@ -363,13 +359,12 @@ class TestOnePointGeometry:
 
 class TestIcosahedral:
     def test_involution_count(self):
-        assert len(icosahedral_group().involutions()) == 15
+        assert len(icosahedral_group().involutions) == 15
 
 
 class TestOnePath:
     def test_search_multiplies_no_rotations_outside_reverification(self, monkeypatch):
         group = octahedral_group()
-        group.table  # built before counting
         calls = []
         original = RotationElement.__mul__
 
@@ -407,7 +402,6 @@ def hopf_orbits(solutions, hopf_order, group) -> set:
 class TestTablePath:
     def test_ref1_search_multiplies_no_matrices(self, monkeypatch):
         group = octahedral_group()
-        group.table  # built before counting
         products, keys = [], []
         matmul = Matrix3.__mul__
         canon = linkrep.search.canonical_class
@@ -434,7 +428,6 @@ class TestTablePath:
                 arc("A3", "H.a", 1, "H.b", 1),
             ),
         )
-        octahedral_group().table
         products = []
         matmul = Matrix3.__mul__
         monkeypatch.setattr(

@@ -37,7 +37,7 @@ from linkrep.search import (
 from linkrep.sldfile import parse
 
 import search_oracle
-from conftest import FIXTURES, hopf_ring, random_diagram, search_space
+from conftest import FIXTURES, hopf_ring, involution_elements, random_diagram, search_space
 from search_oracle import reference_enumerate, reference_orbit_minima
 
 GROUPS = [octahedral_group(), icosahedral_group(), tetrahedral_group()]
@@ -79,11 +79,10 @@ def assert_orbit_minima_match(solutions, hopf_order, group) -> None:
     """The orbit-at-a-time minima and class counts equal the per-solution
     reference's, on whole decorations and Hopf tuples, and on a subset of
     the solutions that is not closed under conjugation."""
-    table = group.table
     whole = [[g for _, g in dec.mapping] for dec in solutions]
     hopf = [[dec[h] for h in hopf_order] for dec in solutions]
     for tuples in (whole, hopf, whole[::3], hopf[1::2]):
-        assert _orbit_minima(tuples, table) == reference_orbit_minima(tuples, table)
+        assert _orbit_minima(tuples, group) == reference_orbit_minima(tuples, group)
     for mode in DEDUP_MODES:
         opts = SearchOptions(group, mode)
         with pytest.MonkeyPatch.context() as mp:
@@ -146,14 +145,14 @@ class TestDifferential:
         assert_matches_reference(d, group)
 
 
-def pruned_hopfs(d: SingularLinkDiagram, dec: Decoration, table) -> set:
+def pruned_hopfs(d: SingularLinkDiagram, dec: Decoration, group) -> set:
     """The Hopf nodes whose search-side SW verdict fails: the member word
-    folded on table indices lies in {I, g}."""
-    idx = {n: table.index_of(g) for n, g in dec.mapping}
+    folded on group indices lies in {I, g}."""
+    idx = {n: group.index_of(g) for n, g in dec.mapping}
     return {
         h
         for h in d.hopfs
-        if _word_index(d.member_words[h], idx, table) in (table.identity, idx[h])
+        if _word_index(d.member_words[h], idx, group) in (group.identity, idx[h])
     }
 
 
@@ -180,13 +179,12 @@ class TestPruningVerdict:
         d = random_diagram(rng)
         while not (d.hopfs and check_selfint(d).passed):  # most draws fail this
             d = random_diagram(rng)
-        table = group.table
-        involutions = [table.elements[i] for i in table.involutions]
+        involutions = involution_elements(group)
         dec = Decoration.of(
             {h: rng.choice(involutions) for h in d.hopfs}
-            | {c: rng.choice(table.elements) for c in d.circles}
+            | {c: rng.choice(group.elements) for c in d.circles}
         )
-        assert pruned_hopfs(d, dec, table) == check_sw_failures(d, dec)
+        assert pruned_hopfs(d, dec, group) == check_sw_failures(d, dec)
 
     def test_equals_check_sw_on_a_two_arc_member_path(self):
         # h.a -> c -> h.b: the member path has two arcs, so the verdict
@@ -201,14 +199,14 @@ class TestPruningVerdict:
         assert [(str(ref), s) for ref, s in d.member_words["h"]] == [
             ("d", 1), ("c", 1), ("d", 1)
         ]
-        table = octahedral_group().table
-        involutions = [table.elements[i] for i in table.involutions]
+        group = octahedral_group()
+        involutions = involution_elements(group)
         verdicts = set()
-        for h, c, x in product(involutions, table.elements, table.elements):
+        for h, c, x in product(involutions, group.elements, group.elements):
             dec = Decoration.of({"h": h, "c": c, "d": x})
             failed = check_sw_failures(d, dec)
-            assert pruned_hopfs(d, dec, table) == failed
+            assert pruned_hopfs(d, dec, group) == failed
             verdicts.add(not failed)
         assert verdicts == {True, False}
         dec = Decoration.of({"h": rot("(34)"), "c": rot("(23)"), "d": rot("(24)")})
-        assert pruned_hopfs(d, dec, table) == check_sw_failures(d, dec)
+        assert pruned_hopfs(d, dec, group) == check_sw_failures(d, dec)
