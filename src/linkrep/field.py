@@ -3,8 +3,15 @@
 Every quantity in the package bottoms out here.  A scalar is three ints
 (p, q, d) in lowest terms standing for (p + q*sqrt(5)) / d; equality, ordering
 and all field operations are decidable and exact, and a 3x3 matrix product
-runs on these ints without building intermediate scalars.  No floating point
-anywhere.
+runs on these ints without building intermediate scalars.  Scalar text is
+read and printed on the same ints: parse_scalar puts the two parts over one
+denominator and reduces once, format_scalar reduces each part by a gcd.
+
+A vector scaled by the positive lcm of its denominators has coordinates in
+Z[sqrt(5)], each an int pair (p, q).  Dot, cross and triple products of such
+vectors are int arithmetic, and a positive rescale changes neither the sign
+of a triple product nor a squared cosine; canonical_class and is_coplanar
+work on these coordinates.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -196,27 +203,30 @@ def parse_scalar(text: str) -> ExactScalar:
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
-    if any(m.group(q) is not None and int(m.group(q)) == 0 for q in ("rb", "ib")):
+    ra, rb, sign, ia, ib = m.groups()
+    rb = int(rb) if rb is not None else 1
+    ib = int(ib) if ib is not None else 1
+    if rb == 0 or ib == 0:
         raise ValueError(f"zero denominator in scalar {text!r}")
-    a = Fraction(int(m.group("ra")), int(m.group("rb") or 1))
-    b = Fraction(0)
-    if m.group("ia") is not None:
-        b = Fraction(int(m.group("ia")), int(m.group("ib") or 1))
-        if m.group("sign") == "-":
-            b = -b
-    return ExactScalar(a, b)
+    if ia is None:
+        return _reduced(int(ra), 0, rb)
+    # ra/rb + ia/ib * sqrt(5) over the common denominator rb * ib
+    q = int(ia) * rb
+    return _reduced(int(ra) * ib, -q if sign == "-" else q, rb * ib)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    """n / d in lowest terms, d > 0, printed as "n" or "n/d"."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def format_scalar(x: ExactScalar) -> str:
     """Canonical textual form; parse(format(x)) == x."""
-    if x.b == 0:
-        return _frac_str(x.a)
-    sign = "+" if x.b > 0 else "-"
-    return f"{_frac_str(x.a)}{sign}{_frac_str(abs(x.b))}*r5"
+    p, q, d = x.p, x.q, x.d
+    if q == 0:
+        return _ratio_str(p, d)
+    return f"{_ratio_str(p, d)}{'+' if q > 0 else '-'}{_ratio_str(abs(q), d)}*r5"
 
 
 @dataclass(frozen=True)
@@ -416,7 +426,68 @@ def is_angle_pi_over_4(u: AxisLine, v: AxisLine) -> bool:
 
 
 def is_coplanar(u: AxisLine, v: AxisLine, w: AxisLine) -> bool:
-    m = Matrix3(
-        (u.direction.components(), v.direction.components(), w.direction.components())
+    p, q = _int_triple(
+        _int_coords(u.direction), _int_coords(v.direction), _int_coords(w.direction)
     )
-    return m.det().is_zero()
+    return p == 0 and q == 0
+
+
+# ---------------------------------------------------------------------------
+# vectors on Z[sqrt(5)] coordinates
+# ---------------------------------------------------------------------------
+#
+# An int vector is a flat 6-tuple (p0, q0, p1, q1, p2, q2): coordinate k is
+# pk + qk*sqrt(5).  A dot or triple product of int vectors is an int pair
+# (p, q), read as p + q*sqrt(5).
+
+
+def _int_coords(v: Vector3) -> tuple:
+    """v scaled by the positive lcm of its three denominators."""
+    x, y, z = v.x, v.y, v.z
+    n = lcm(x.d, y.d, z.d)
+    a, b, c = n // x.d, n // y.d, n // z.d
+    return (x.p * a, x.q * a, y.p * b, y.q * b, z.p * c, z.q * c)
+
+
+def _int_dot(u: tuple, v: tuple) -> tuple:
+    a0, b0, a1, b1, a2, b2 = u
+    c0, e0, c1, e1, c2, e2 = v
+    return (
+        a0 * c0 + a1 * c1 + a2 * c2 + 5 * (b0 * e0 + b1 * e1 + b2 * e2),
+        a0 * e0 + b0 * c0 + a1 * e1 + b1 * c1 + a2 * e2 + b2 * c2,
+    )
+
+
+def _int_cross(u: tuple, v: tuple) -> tuple:
+    a0, b0, a1, b1, a2, b2 = u
+    c0, e0, c1, e1, c2, e2 = v
+    # (a + b sqrt5)(c + e sqrt5) = (ac + 5be) + (ae + bc) sqrt5, per term
+    return (
+        a1 * c2 + 5 * b1 * e2 - a2 * c1 - 5 * b2 * e1,
+        a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1,
+        a2 * c0 + 5 * b2 * e0 - a0 * c2 - 5 * b0 * e2,
+        a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2,
+        a0 * c1 + 5 * b0 * e1 - a1 * c0 - 5 * b1 * e0,
+        a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0,
+    )
+
+
+def _int_triple(u: tuple, v: tuple, w: tuple) -> tuple:
+    """u . (v x w), the determinant with rows u, v, w."""
+    return _int_dot(u, _int_cross(v, w))
+
+
+def _int_mul(x: tuple, y: tuple) -> tuple:
+    (p, q), (r, s) = x, y
+    return (p * r + 5 * q * s, p * s + q * r)
+
+
+def _int_cos_squared(g: tuple, n: tuple, m: tuple) -> ExactScalar:
+    """g^2 / (n m) for a Gram entry g = u.v and the squared lengths n = u.u,
+    m = v.v of int vectors: cos^2 of the angle between u and v.  Multiply
+    by the Galois conjugate of n m, whose product with n m is the int norm;
+    that norm is positive, since the conjugate of a squared length is the
+    squared length of the conjugate vector."""
+    p, q = _int_mul(g, g)
+    r, s = _int_mul(n, m)
+    return _reduced(p * r - 5 * q * s, q * r - p * s, r * r - 5 * s * s)

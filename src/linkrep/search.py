@@ -41,7 +41,11 @@ Solution tuples of pi-rotations are compared up to simultaneous rotation via
 an exact invariant of their axis configuration: the pairwise squared-cosine
 matrix plus the sign pattern of the Gram entries and of all axis triple
 products, minimized over independent per-axis sign flips.  It is computed
-once per conjugacy orbit in the group, from the axes the group holds.
+once per conjugacy orbit in the group, from the axes the group holds, on
+integer coordinates: each axis scaled by the positive lcm of its
+denominators has entries in Z[sqrt(5)], and a positive rescale changes no
+sign and no cos^2.  Each pair's Gram entry and cross product is taken once,
+and each triple product is a dot with a pair's cross product, all on ints.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ from .diagram import ArcBand, SingularLinkDiagram
 from .field import (
     AxisLine,
     Matrix3,
+    _int_coords,
+    _int_cos_squared,
+    _int_cross,
+    _int_dot,
+    _sign,
     is_angle_pi_over_4,
     is_coplanar,
     is_perpendicular,
@@ -262,23 +271,31 @@ class ConjugacyClassKey:
 
 
 def canonical_class(elements: Sequence[RotationElement]) -> ConjugacyClassKey:
-    for g in elements:
-        if not is_involution(g):
-            raise ValueError("canonical_class requires pi-rotations")
-    axes = [axis_of_involution(g).direction for g in elements]
+    """The key of a tuple of pi-rotations up to simultaneous rotation.
+
+    Each axis is taken in integer coordinates: a vector along it scaled by
+    the positive lcm of its denominators, with entries in Z[sqrt(5)].  A
+    positive rescale keeps every sign and every cos^2, and a negative one
+    is a per-axis sign flip, over which the sign pattern is minimized
+    anyway; so any nonzero vector along the axis gives the same key.  The
+    Gram entries and the cross product of each pair are taken once, on
+    ints, and the sign of each triple v_i . (v_j x v_k) is read from them.
+    """
+    axes = [_int_axis(g) for g in elements]
     n = len(axes)
     pairs = list(combinations(range(n), 2))
-    triples = list(combinations(range(n), 3))
-    gram = [[axes[i].dot(axes[j]) for j in range(n)] for i in range(n)]
+    norms = [_int_dot(v, v) for v in axes]
+    gram = [_int_dot(axes[i], axes[j]) for i, j in pairs]
     cos2 = tuple(
-        (gram[i][j] * gram[i][j]) / (gram[i][i] * gram[j][j]) for i, j in pairs
+        _int_cos_squared(g, norms[i], norms[j]) for (i, j), g in zip(pairs, gram)
     )
-    comps = [v.components() for v in axes]
+    # v_j x v_k for each pair that ends a triple i < j < k
+    cross = {(j, k): _int_cross(axes[j], axes[k]) for j, k in pairs if j}
     signs = _least_flip_pattern(
-        [(1 << i | 1 << j, gram[i][j].sign()) for i, j in pairs]
+        [(1 << i | 1 << j, _sign(*g)) for (i, j), g in zip(pairs, gram)]
         + [
-            (1 << i | 1 << j | 1 << k, Matrix3((comps[i], comps[j], comps[k])).det().sign())
-            for i, j, k in triples
+            (1 << i | 1 << j | 1 << k, _sign(*_int_dot(axes[i], cross[j, k])))
+            for i, j, k in combinations(range(n), 3)
         ]
     )
     return ConjugacyClassKey(
@@ -287,6 +304,18 @@ def canonical_class(elements: Sequence[RotationElement]) -> ConjugacyClassKey:
         gram_signs=signs[: len(pairs)],
         triple_signs=signs[len(pairs) :],
     )
+
+
+def _int_axis(g: RotationElement) -> tuple:
+    """Integer coordinates along the axis of the pi-rotation g: the group's
+    axis for an involution it owns, else a nonzero column of g + I."""
+    if not is_involution(g):
+        raise ValueError("canonical_class requires pi-rotations")
+    t = g._group
+    if t is not None:
+        return _int_coords(t.axes[g._index].direction)
+    shifted = g.m + Matrix3.identity()
+    return _int_coords(next(c for c in map(shifted.column, range(3)) if not c.is_zero()))
 
 
 def _least_flip_pattern(entries: Sequence[Tuple[int, int]]) -> tuple:

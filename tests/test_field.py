@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linkrep.field
@@ -21,6 +21,7 @@ from linkrep.field import (
     parse_scalar,
 )
 from linkrep.rotation import RotationElement, icosahedral_group, octahedral_group
+from linkrep.sldfile import SldParseError, parse
 
 rationals = st.fractions(
     max_denominator=12,
@@ -80,6 +81,7 @@ quarter_scalars = st.builds(
     st.integers(-40, 40),
 )
 any_scalars = st.one_of(scalars, wide_scalars, quarter_scalars)
+vectors = st.builds(Vector3, any_scalars, any_scalars, any_scalars)
 
 
 def canonical(x: ExactScalar) -> bool:
@@ -122,6 +124,117 @@ class TestScalarOps:
     @given(any_scalars)
     def test_scalar_text_round_trip(self, x):
         assert parse_scalar(format_scalar(x)) == x
+
+
+def fraction_parse(text: str) -> ExactScalar:
+    """Reference: parse_scalar as it read the two parts through Fraction."""
+    m = linkrep.field._SCALAR_RE.match(text)
+    if m is None:
+        raise ValueError(f"malformed scalar {text!r}")
+    if any(m.group(q) is not None and int(m.group(q)) == 0 for q in ("rb", "ib")):
+        raise ValueError(f"zero denominator in scalar {text!r}")
+    a = Fraction(int(m.group("ra")), int(m.group("rb") or 1))
+    b = Fraction(0)
+    if m.group("ia") is not None:
+        b = Fraction(int(m.group("ia")), int(m.group("ib") or 1))
+        if m.group("sign") == "-":
+            b = -b
+    return ExactScalar(a, b)
+
+
+def _frac_str(f: Fraction) -> str:
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def fraction_format(x: ExactScalar) -> str:
+    """Reference: format_scalar as it printed the Fraction parts."""
+    if x.b == 0:
+        return _frac_str(x.a)
+    sign = "+" if x.b > 0 else "-"
+    return f"{_frac_str(x.a)}{sign}{_frac_str(abs(x.b))}*r5"
+
+
+def _digits(least: int):
+    """Digit strings of ints >= least, some with leading zeros."""
+    return st.builds(
+        lambda n, zeros: "0" * zeros + str(n),
+        st.integers(least, 10**4),
+        st.integers(0, 2),
+    )
+
+
+def _part(denominator):
+    """"n" or "n/d", d drawn from denominator (None: no slash)."""
+    return st.builds(
+        lambda n, d: n if d is None else f"{n}/{d}", _digits(0), denominator
+    )
+
+
+def _rational(denominator):
+    return st.builds(
+        lambda neg, part: "-" * neg + part, st.booleans(), _part(denominator)
+    )
+
+
+def _irrational(denominator):
+    return st.builds(
+        lambda sign, part: f"{sign}{part}*r5", st.sampled_from("+-"), _part(denominator)
+    )
+
+
+denominators = st.none() | _digits(1)
+zero_digits = st.integers(1, 3).map(lambda k: "0" * k)
+#: scalar texts as a file may hold them: parts not in lowest terms, -0,
+#: zero over a denominator, leading zeros
+scalar_texts = st.builds(
+    lambda r, i: r + (i or ""),
+    _rational(denominators),
+    st.none() | _irrational(denominators),
+)
+#: the same with a zero denominator ("0", "00", ...) in one part or both
+zero_denominator_texts = st.one_of(
+    st.builds(
+        lambda r, i: r + (i or ""),
+        _rational(zero_digits),
+        st.none() | _irrational(denominators | zero_digits),
+    ),
+    st.builds(lambda r, i: r + i, _rational(denominators), _irrational(zero_digits)),
+)
+
+
+class TestScalarText:
+    @given(scalar_texts)
+    @example("10/4+6/8*r5")
+    @example("-0")
+    @example("0/5")
+    @example("-0-0/7*r5")
+    @example("007/014+03*r5")
+    def test_parse_matches_the_fraction_reference(self, text):
+        x = parse_scalar(text)
+        ref = fraction_parse(text)
+        assert (x.p, x.q, x.d) == (ref.p, ref.q, ref.d)
+        assert canonical(x)
+
+    @given(zero_denominator_texts)
+    @example("1/0")
+    @example("0/0-1/000*r5")
+    def test_zero_denominator_is_rejected(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+        with pytest.raises(ValueError, match="zero denominator"):
+            fraction_parse(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "1+2/0*r5"])
+    def test_zero_denominator_in_a_file_names_its_line(self, text):
+        entries = " ".join(["1", "0", "0", "0", "1", "0", "0", "0", text])
+        doc = f"group octahedral\ncircle C\ndecorate C = matrix {entries}\n"
+        with pytest.raises(SldParseError, match="zero denominator") as exc:
+            parse(doc)
+        assert exc.value.line == 3
+
+    @given(any_scalars)
+    def test_format_matches_the_fraction_reference(self, x):
+        assert format_scalar(x) == fraction_format(x)
 
 
 class TestIntegerCore:
@@ -303,3 +416,13 @@ class TestPredicates:
         v = AxisLine.of(4, 5, 6)
         s = AxisLine(u.direction + v.direction)
         assert is_coplanar(u, v, s)
+
+    @given(vectors, vectors, any_scalars, any_scalars, st.booleans())
+    def test_triple_product_matches_the_determinant(self, u, v, a, b, dependent):
+        # half the draws put w in the plane of u and v
+        w = u.scale(a) + v.scale(b) if dependent else Vector3(a, b, a * b)
+        det = Matrix3((u.components(), v.components(), w.components())).det()
+        ints = [linkrep.field._int_coords(x) for x in (u, v, w)]
+        assert linkrep.field._sign(*linkrep.field._int_triple(*ints)) == det.sign()
+        if not any(x.is_zero() for x in (u, v, w)):
+            assert is_coplanar(AxisLine(u), AxisLine(v), AxisLine(w)) == det.is_zero()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -9,11 +10,12 @@ import linkrep.diagram
 import linkrep.search
 from linkrep.conditions import CheckResult, Decoration, check_genus0, check_sw, run_all_checks
 from linkrep.diagram import ArcBand, CircleRef, SingularLinkDiagram
-from linkrep.field import Matrix3
+from linkrep.field import AxisLine, ExactScalar, Matrix3, Vector3
 from linkrep.rotation import (
     RotationElement,
     axis_of_involution,
     conjugate,
+    from_axis_pi,
     icosahedral_group,
     octahedral_group,
     rot,
@@ -31,6 +33,7 @@ from linkrep.search import (
     verify_onepoint_geometry,
 )
 
+from canon_reference import reference_canonical_class
 from conftest import (
     hopf_ring,
     involution_elements,
@@ -237,15 +240,98 @@ def brute_force_signs(elements):
     )
 
 
+#: axis coordinates: ints, and Q(sqrt(5)) scalars whose parts have mixed
+#: denominators
+axis_scalars = st.one_of(
+    st.builds(ExactScalar.of, st.integers(-6, 6)),
+    st.builds(
+        ExactScalar,
+        st.fractions(min_value=-6, max_value=6, max_denominator=9),
+        st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    ),
+)
+untagged_involutions = (
+    st.builds(Vector3, axis_scalars, axis_scalars, axis_scalars)
+    .filter(lambda v: not v.is_zero())
+    .map(lambda v: from_axis_pi(AxisLine(v)))
+)
+
+
+def _untagged_pool() -> tuple:
+    """Pi-rotations no group owns: copies of the octahedral and icosahedral
+    involutions, and seeded axes with mixed denominators."""
+    rng = random.Random(13)
+    pool = [RotationElement(g.m) for g in involution_elements(octahedral_group())]
+    pool += [RotationElement(g.m) for g in involution_elements(icosahedral_group())[::3]]
+    while len(pool) < 24:
+        v = Vector3(
+            *(
+                ExactScalar(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+                    Fraction(rng.randint(-2, 2), rng.randint(1, 4)),
+                )
+                for _ in range(3)
+            )
+        )
+        if not v.is_zero():
+            pool.append(from_axis_pi(AxisLine(v)))
+    return tuple(pool)
+
+
 INVOLUTION_POOLS = {
     "oct": involution_elements(octahedral_group()),
     "ico": involution_elements(icosahedral_group()),
     "mixed": involution_elements(octahedral_group()) + involution_elements(icosahedral_group()),
+    "untagged": _untagged_pool(),
 }
 
 
+class TestCanonicalClassReference:
+    """The integer kernel against the Matrix3 / ExactScalar reading of the
+    key that it replaced (tests/canon_reference.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["oct", "ico", "mixed"]),
+        st.lists(st.integers(0, 10**6), max_size=8),
+    )
+    def test_group_involutions(self, pool, picks):
+        # repeats included: picks may hit one axis several times
+        invs = INVOLUTION_POOLS[pool]
+        elements = [invs[p % len(invs)] for p in picks]
+        assert canonical_class(elements) == reference_canonical_class(elements)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(untagged_involutions, max_size=6), st.data())
+    def test_untagged_involutions(self, elements, data):
+        # repeats: fresh copies of up to two drawn elements
+        if elements:
+            picks = data.draw(st.lists(st.sampled_from(elements), max_size=2))
+            elements += [RotationElement(g.m) for g in picks]
+        assert canonical_class(elements) == reference_canonical_class(elements)
+
+
+class TestTripleSignsAreRedundant:
+    """The first step of dropping triple_signs from the key: on tuples of
+    group involutions, two tuples with the same cos_squared and gram_signs
+    also have the same triple_signs (lines up to O(3) and up to SO(3) are
+    the same, and the Gram matrix up to switching fixes the lines)."""
+
+    @pytest.mark.parametrize(
+        "pool, n, buckets",
+        [("oct", 3, 31), ("ico", 3, 59), ("mixed", 3, 477), ("oct", 4, 274)],
+    )
+    def test_pairs_determine_the_triple_signs(self, pool, n, buckets):
+        seen = {}
+        for elements in product(INVOLUTION_POOLS[pool], repeat=n):
+            key = canonical_class(elements)
+            pair_key = (key.cos_squared, key.gram_signs)
+            assert seen.setdefault(pair_key, key.triple_signs) == key.triple_signs
+        assert len(seen) == buckets
+
+
 class TestCanonicalClassGreedy:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from(sorted(INVOLUTION_POOLS)),
         st.lists(st.integers(0, 10**6), max_size=7),
