@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: check, search, obstruct, bundle, canon.  Reports are JSON on
-stdout with exact integers and exact rational strings (never floats);
-diagnostics go to stderr as JSON; exit codes: 0 success, 1 failed
-check/search/obstruction, 2 parse or validation errors.
+stdout with exact integers and exact rational strings (never floats),
+formatted as `json.dumps` formats them with an indent of 2; the golden
+corpus in tests/golden pins them byte for byte.  A `search --cache` entry
+is the printed report.  Diagnostics go to stderr as JSON; exit codes:
+0 success, 1 failed check/search/obstruction, 2 parse or validation errors
+(an unusable `--cache` directory included).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 import sys
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .conditions import (
@@ -44,6 +47,64 @@ from .search import (
 from .sldfile import SldDocument, SldParseError, parse, serialize
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Rendered(str):
+    """JSON text that `_render` copies as it stands, rendered beforehand at
+    the indentation where it is printed."""
+
+
+def _render(value, newline: str = "\n") -> str:
+    """`json.dumps` with an indent of 2, byte for byte, for dicts with str
+    keys, lists, str, int, bool and None; `newline` is a line break and the
+    indentation where value sits.  Anything else, a float included, raises
+    TypeError: reports hold only integers, booleans and exact rational
+    strings."""
+    out: List[str] = []
+    _emit(value, newline, out)
+    return "".join(out)
+
+
+def _emit(value, newline: str, out: List[str]) -> None:
+    if isinstance(value, str):
+        out.append(value if type(value) is _Rendered else _encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"a report cannot hold a {type(value).__name__}")
+
+
 def _fail(message: str, code: int) -> int:
     print(json.dumps({"error": message}), file=sys.stderr)
     return code
@@ -54,6 +115,34 @@ def _element_json(group: FiniteRotationGroup, g: RotationElement) -> Dict:
     from the form the group computed once for g."""
     kind, value = group.forms[group.index_of(g)]
     return {kind: list(value) if kind == "matrix" else value}
+
+
+def _solutions_text(
+    group: FiniteRotationGroup, solutions: List[Decoration], newline: str
+) -> _Rendered:
+    """`_render` of the solutions list, one {node: element form} dict per
+    decoration, printed at `newline`: each distinct element's text and each
+    node's key text are rendered once, whatever the number of solutions."""
+    row = newline + "  "
+    entry = row + "  "
+    keys: Dict[str, str] = {}
+    elements: Dict[int, str] = {}
+    rows = []
+    for dec in solutions:
+        parts = []
+        for node, g in dec.mapping:
+            key = keys.get(node)
+            if key is None:
+                key = keys[node] = entry + _encode_str(node) + ": "
+            i = group.index_of(g)
+            element = elements.get(i)
+            if element is None:
+                element = elements[i] = _render(_element_json(group, g), entry)
+            parts.append(key + element)
+        rows.append("{" + ",".join(parts) + row + "}" if parts else "{}")
+    if not rows:
+        return _Rendered("[]")
+    return _Rendered("[" + row + ("," + row).join(rows) + newline + "]")
 
 
 def _checks_json(report: ConditionReport) -> Dict:
@@ -123,7 +212,7 @@ def cmd_check(args) -> int:
     except DiagramError as exc:
         report["wellformed"] = False
         report["diagnostics"] = exc.violations
-        print(json.dumps(report, indent=2))
+        print(_render(report))
         return _fail("diagram is not well-formed", 2)
     report["wellformed"] = True
     dec = doc.decoration()
@@ -136,7 +225,7 @@ def cmd_check(args) -> int:
     checks = run_all_checks(d, dec, exhaustive_paths=args.all_sw_paths)
     report["checks"] = _checks_json(checks)
     _fill_diagram_fields(report, d)
-    print(json.dumps(report, indent=2))
+    print(_render(report))
     return 0 if checks.passed else 1
 
 
@@ -146,21 +235,29 @@ def _options_digest(doc: SldDocument, opts_desc: Dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _read_cached(path: Path) -> Optional[Dict]:
-    """A cached report, or None when the entry is missing or corrupt."""
+def _read_cached(path: Path) -> Optional[Tuple[str, int]]:
+    """A cached report rendered for printing, and its raw solution count;
+    None when the entry is missing or corrupt.  Any JSON text of the report
+    is accepted: the printed form and the compact one of earlier versions."""
     try:
         cached = json.loads(path.read_text(encoding="utf-8"))
         raw = cached["search"]["raw_solutions"]
+        text = _render(cached)
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return cached if isinstance(raw, int) else None
+    return (text, raw) if isinstance(raw, int) else None
 
 
 def _write_atomically(path: Path, text: str) -> None:
-    """Write to a temporary file beside `path`, then rename it into place."""
+    """Write to a temporary file beside `path`, then rename it into place;
+    the temporary file is removed when either step fails."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_search(args) -> int:
@@ -183,12 +280,16 @@ def cmd_search(args) -> int:
     cache_file = None
     if args.cache:
         cache_dir = Path(args.cache)
-        cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _fail(f"cannot use cache directory: {exc}", 2)
         cache_file = cache_dir / f"{_options_digest(doc, opts_desc)}.json"
         cached = _read_cached(cache_file)
         if cached is not None:
-            print(json.dumps(cached, indent=2))
-            return 0 if cached["search"]["raw_solutions"] > 0 else 1
+            text, raw = cached
+            print(text)
+            return 0 if raw > 0 else 1
 
     try:
         solutions = enumerate_valid_decorations(d, opts)
@@ -201,13 +302,16 @@ def cmd_search(args) -> int:
     report["search"] = {
         "raw_solutions": len(solutions),
         "classes": classes,
-        "solutions": [
-            {node: _element_json(group, g) for node, g in dec.mapping} for dec in solutions
-        ],
+        # the list sits two levels deep in the report
+        "solutions": _solutions_text(group, solutions, "\n    "),
     }
+    text = _render(report)
     if cache_file is not None:
-        _write_atomically(cache_file, json.dumps(report))
-    print(json.dumps(report, indent=2))
+        try:
+            _write_atomically(cache_file, text + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write cache entry: {exc}", 2)
+    print(text)
     return 0 if solutions else 1
 
 
@@ -229,7 +333,7 @@ def cmd_obstruct(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
     out["verdict"] = "pass" if passed else "fail"
-    print(json.dumps(out, indent=2))
+    print(_render(out))
     return 0 if passed else 1
 
 
@@ -250,7 +354,7 @@ def cmd_bundle(args) -> int:
         "irreducible_locked": profile.irreducible_locked,
         "d": profile.d,
     }
-    print(json.dumps(out, indent=2))
+    print(_render(out))
     return 0
 
 
@@ -278,7 +382,7 @@ def cmd_canon(args) -> int:
         "gram_signs": list(key.gram_signs),
         "triple_signs": list(key.triple_signs),
     }
-    print(json.dumps(out, indent=2))
+    print(_render(out))
     return 0
 
 

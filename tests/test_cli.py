@@ -2,10 +2,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkrep.cli
 import linkrep.conditions
-from linkrep.cli import _element_json, main
+from linkrep.cli import _element_json, _render, main
 from linkrep.field import format_scalar
 from linkrep.rotation import (
     icosahedral_group,
@@ -17,6 +19,10 @@ from linkrep.rotation import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REF1 = str(FIXTURES / "ref1.sld")
 COMMUTING = str(FIXTURES / "commuting.sld")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# argv and printed report of one cached search
+COMMUTING_SEARCH = ("search", COMMUTING, "--group", "octahedral", "--dedup", "so3_canonical")
+COMMUTING_STDOUT = (GOLDEN / "search-commuting-octahedral-so3_canonical.stdout").read_text(encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -149,6 +155,16 @@ class TestSearch:
         assert code == 1
         assert out["search"]["raw_solutions"] == 0
 
+    @pytest.mark.parametrize("text, solutions", [("hopf h\n", []), ("", [{}])])
+    def test_empty_lists_and_decorations_print_as_json_dumps(self, capsys, tmp_path, text, solutions):
+        f = tmp_path / "small.sld"
+        f.write_text(text)
+        main(["search", str(f)])
+        printed = capsys.readouterr().out
+        report = json.loads(printed)
+        assert report["search"]["solutions"] == solutions
+        assert printed == json.dumps(report, indent=2) + "\n"
+
     def test_group_override_tetrahedral(self, capsys):
         # the tetrahedral preset has only the three coordinate flips as
         # involutions; the commuting fixture still admits solutions
@@ -179,12 +195,63 @@ class TestSearch:
         cache = tmp_path / "cache"
         _, fresh, _ = run(capsys, "search", COMMUTING, "--cache", str(cache))
         (entry,) = cache.glob("*.json")
-        for junk in ("{not json", '{"search": null}', ""):
+        # the last entry parses but holds a float, which no report may hold
+        junks = ("{not json", '{"search": null}', "", '{"search": {"raw_solutions": 1}, "x": 0.5}')
+        for junk in junks:
             entry.write_text(junk)
             code, out, err = run(capsys, "search", COMMUTING, "--cache", str(cache))
             assert code == 0 and err is None
             assert out == fresh
             assert json.loads(entry.read_text()) == fresh
+
+    def test_cache_miss_and_hit_print_the_golden_bytes(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        for _ in range(2):  # a miss, then a hit
+            assert main([*COMMUTING_SEARCH, "--cache", str(cache)]) == 0
+            assert capsys.readouterr().out == COMMUTING_STDOUT
+            (entry,) = cache.glob("*.json")
+            assert entry.read_text(encoding="utf-8") == COMMUTING_STDOUT
+
+    def test_compact_cache_entry_prints_the_golden_bytes(self, capsys, tmp_path):
+        # entries used to be written as json.dumps(report)
+        cache = tmp_path / "cache"
+        main([*COMMUTING_SEARCH, "--cache", str(cache)])
+        capsys.readouterr()
+        (entry,) = cache.glob("*.json")
+        entry.write_text(json.dumps(json.loads(COMMUTING_STDOUT)), encoding="utf-8")
+        assert main([*COMMUTING_SEARCH, "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == COMMUTING_STDOUT
+
+    def test_rewritten_corrupt_entry_prints_the_golden_bytes(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        main([*COMMUTING_SEARCH, "--cache", str(cache)])
+        capsys.readouterr()
+        (entry,) = cache.glob("*.json")
+        entry.write_text("{not json")
+        for _ in range(2):  # the rewrite, then a hit of the rewritten entry
+            assert main([*COMMUTING_SEARCH, "--cache", str(cache)]) == 0
+            assert capsys.readouterr().out == COMMUTING_STDOUT
+            assert entry.read_text(encoding="utf-8") == COMMUTING_STDOUT
+
+    def test_cache_on_a_regular_file_exits_two(self, capsys, tmp_path):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        code, out, err = run(capsys, "search", COMMUTING, "--cache", str(not_a_dir))
+        assert code == 2
+        assert out is None
+        assert "cannot use cache directory" in err["error"]
+
+    def test_unwritable_cache_entry_exits_two(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        run(capsys, "search", COMMUTING, "--cache", str(cache))
+        (entry,) = cache.glob("*.json")
+        entry.unlink()
+        entry.mkdir()  # a miss that no rename can replace
+        code, out, err = run(capsys, "search", COMMUTING, "--cache", str(cache))
+        assert code == 2
+        assert out is None
+        assert "cannot write cache entry" in err["error"]
+        assert [p.name for p in cache.iterdir()] == [entry.name]
 
     def test_cache_writes_by_atomic_rename(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -248,6 +315,36 @@ class TestElementJson:
         h = oct_.elements[5]
         _element_json(oct_, h)["perm"] = "junk"
         assert _element_json(oct_, h) == self.uncached(h)
+
+
+# JSON values as the json module reads them back, with strings that need
+# escaping: non-ASCII, control characters, quotes and backslashes
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀a') | st.characters()),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestRender:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_equals_json_dumps_with_indent_two(self, value):
+        assert _render(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers(self):
+        for value in ([], {}, [[]], {"": {}}, [{}, []]):
+            assert _render(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [0.5, [1, 2.0], {"energy": float("nan")}])
+    def test_floats_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _render(value)
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 """Golden CLI corpus: stdout and exit code of `check`, `check --all-sw-paths`
-and `canon` on every fixture, and of `search` on every fixture under each
-group preset and dedup mode, compared byte for byte.
+and `canon` on every fixture, of `search` on every fixture under each group
+preset and dedup mode, of `check` on a malformed diagram, and of `bundle`
+and `obstruct` on a few arguments, compared byte for byte.
 
 The corpus in tests/golden/ pins behaviour across refactors.  After a
 deliberate change of output, re-record it with
@@ -27,6 +28,14 @@ FIXTURE_FILES = (
 )
 GROUPS = ("tetrahedral", "octahedral", "icosahedral")
 DEDUPS = ("none", "group_conjugacy", "so3_canonical")
+CALCULUS = {
+    "bundle-flat": ["bundle", "--b1", "1", "--b2", "4", "--c2", "-1"],
+    "bundle-negative-energy": ["bundle", "--b1", "1", "--b2", "3", "--c2", "-2"],
+    "bundle-b2-2-large-c2": ["bundle", "--b1", "0", "--b2", "2", "--c2", "100000000000000"],
+    "obstruct-b2": ["obstruct", "--b2", "4"],
+    "obstruct-summands": ["obstruct", "--summands", "1,1,1,1"],
+    "obstruct-b2-summands": ["obstruct", "--b2", "6", "--summands", "4,8,0"],
+}
 
 
 def _cases() -> dict:
@@ -42,12 +51,14 @@ def _cases() -> dict:
                 cases[f"search-{stem}-{group}-{dedup}"] = [
                     "search", path, "--group", group, "--dedup", dedup,
                 ]
+    cases["check-malformed"] = ["check", "tests/malformed.sld"]
+    cases.update(CALCULUS)
     return cases
 
 
 def _run(argv) -> tuple:
     """(exit code, stdout bytes) of the CLI run in-process."""
-    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
+    argv = [str(ROOT / a) if a.endswith(".sld") else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
