@@ -82,6 +82,11 @@ def _emit(value, newline: str, out: List[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        kind = type(value[0])
+        if (kind is int or kind is str) and all(type(x) is kind for x in value):
+            items = map(int.__repr__ if kind is int else _encode_str, value)
+            out.append("[" + inner + ("," + inner).join(items) + newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)

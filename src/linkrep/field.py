@@ -11,7 +11,7 @@ A vector scaled by the positive lcm of its denominators has coordinates in
 Z[sqrt(5)], each an int pair (p, q).  Dot, cross and triple products of such
 vectors are int arithmetic, and a positive rescale changes neither the sign
 of a triple product nor a squared cosine; canonical_class and is_coplanar
-work on these coordinates.  No floating point anywhere.
+work on these coordinates, as rotation's matrix check does.  No floats.
 """
 
 from __future__ import annotations
@@ -188,10 +188,6 @@ def _sign(p: int, q: int) -> int:
     return sp if p * p > 5 * q * q else sq
 
 
-ZERO = ExactScalar.of(0)
-ONE = ExactScalar.of(1)
-
-
 _SCALAR_RE = re.compile(
     r"^(?P<ra>-?\d+)(?:/(?P<rb>\d+))?"
     r"(?:(?P<sign>[+-])(?P<ia>\d+)(?:/(?P<ib>\d+))?\*r5)?$"
@@ -353,9 +349,6 @@ class Matrix3:
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
 
-    def trace(self) -> ExactScalar:
-        return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
-
     def apply(self, v: Vector3) -> Vector3:
         r = self.rows
         return Vector3(
@@ -363,9 +356,6 @@ class Matrix3:
             r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
             r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
         )
-
-    def column(self, j: int) -> Vector3:
-        return Vector3(self.rows[0][j], self.rows[1][j], self.rows[2][j])
 
 
 _IDENTITY = Matrix3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -2,9 +2,10 @@
 
 Provides the rotation element type, conjugation, involution and axis
 extraction, the dictionary between S4 (permuting the four cube diagonals) and
-the 24 cube rotations, and finite groups closed from generators.  A finite
-group is its Cayley table, built and validated when the group is.  The
-elements a group owns know their index in it, so products, inverses,
+the 24 cube rotations, and finite groups closed from generators.  A matrix
+is validated once, on the ints of n*M (n the lcm of its denominators).  A
+finite group is its Cayley table, built and validated when the group is.
+The elements a group owns know their index in it, so products, inverses,
 equality and lookups among them are table reads: two elements of one group
 are equal iff their indices are.  The group also holds the facts about
 single elements that searches and reports ask for repeatedly (the
@@ -20,10 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import lcm
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_scalar, outer
+from .field import _int_dot, _int_triple
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,24 @@ class RotationElement:
     _index = -1
 
     def __post_init__(self):
-        if self.m.transpose() * self.m != Matrix3.identity():
+        # R = n*M: M^T M = I iff R R^T = n^2 I, and then det M = 1 iff det R = n^3
+        n, (r, s, t) = self._ints
+        diagonal = (_int_dot(r, r), _int_dot(s, s), _int_dot(t, t))
+        off_diagonal = (_int_dot(r, s), _int_dot(r, t), _int_dot(s, t))
+        if diagonal != ((n * n, 0),) * 3 or off_diagonal != ((0, 0),) * 3:
             raise ValueError("matrix is not orthogonal")
-        if self.m.det() != ExactScalar.of(1):
+        if _int_triple(r, s, t) != (n * n * n, 0):
             raise ValueError("matrix has determinant != 1")
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """n, the lcm of the nine denominators, and the rows of n*M as int 6-tuples."""
+        rows = self.m.rows
+        n = lcm(*(e.d for row in rows for e in row))
+        return n, tuple(
+            tuple(x for e in row for x in (e.p * (n // e.d), e.q * (n // e.d)))
+            for row in rows
+        )
 
     @staticmethod
     def _new(m: Matrix3) -> "RotationElement":
@@ -104,9 +121,6 @@ class RotationElement:
         # orthogonal, so the transpose inverts
         return RotationElement._new(self.m.transpose())
 
-    def trace(self) -> ExactScalar:
-        return self.m.trace()
-
     def apply(self, v: Vector3) -> Vector3:
         return self.m.apply(v)
 
@@ -129,11 +143,12 @@ def conjugate(g: RotationElement, h: RotationElement) -> RotationElement:
 def is_involution(g: RotationElement) -> bool:
     """True iff g is a rotation by pi: trace 1 + 2 cos(theta) = -1.
     (Equivalent to g != I and g*g = I; tests pin the equivalence.)  An
-    element a group owns is looked up in the group's involutions."""
+    element a group owns is looked up in its group, any other in its ints."""
     t = g._group
     if t is not None:
         return g._index in t.involutions
-    return g.trace() == ExactScalar.of(-1)
+    n, (r0, r1, r2) = g._ints
+    return r0[0] + r1[2] + r2[4] == -n and r0[1] + r1[3] + r2[5] == 0
 
 
 def axis_of_involution(g: RotationElement) -> AxisLine:
@@ -147,11 +162,18 @@ def axis_of_involution(g: RotationElement) -> AxisLine:
 def _axis(g: RotationElement) -> AxisLine:
     if not is_involution(g):
         raise ValueError("element is not an involution")
-    shifted = g.m + Matrix3.identity()
-    for j in range(3):
-        col = shifted.column(j)
-        if not col.is_zero():
-            return AxisLine(col)
+    v = _int_axis(g)
+    return AxisLine(Vector3(*(ExactScalar.of(v[k], v[k + 1]) for k in (0, 2, 4))))
+
+
+def _int_axis(g: RotationElement) -> tuple:
+    """The axis of the pi-rotation g in int coordinates: a column of n*(M + I)."""
+    n, rows = g._ints
+    for k in (0, 2, 4):
+        col = [x for row in rows for x in row[k : k + 2]]
+        col[k] += n
+        if any(col):
+            return tuple(col)
     raise RuntimeError("pi-rotation with no fixed direction")
 
 

@@ -41,11 +41,13 @@ Solution tuples of pi-rotations are compared up to simultaneous rotation via
 an exact invariant of their axis configuration: the pairwise squared-cosine
 matrix plus the sign pattern of the Gram entries and of all axis triple
 products, minimized over independent per-axis sign flips.  It is computed
-once per conjugacy orbit in the group, from the axes the group holds, on
-integer coordinates: each axis scaled by the positive lcm of its
-denominators has entries in Z[sqrt(5)], and a positive rescale changes no
-sign and no cos^2.  Each pair's Gram entry and cross product is taken once,
-and each triple product is a dot with a pair's cross product, all on ints.
+once per conjugacy orbit in the group, on integer coordinates: each axis is
+a column of n*(M + I), for n the lcm of the denominators of M, with entries
+in Z[sqrt(5)], and the key is the same for any vector along the axis.  Each
+pair's Gram entry and cross product is taken once, and each triple product
+is a dot with a pair's cross product, all on ints.  The least sign pattern
+is greedy until its constraints fix every flip, and read in closed form
+from the solved flips after that.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ from .conditions import (
 from .diagram import ArcBand, SingularLinkDiagram
 from .field import (
     AxisLine,
-    Matrix3,
-    _int_coords,
     _int_cos_squared,
     _int_cross,
     _int_dot,
@@ -78,6 +78,7 @@ from .field import (
 from .rotation import (
     FiniteRotationGroup,
     RotationElement,
+    _int_axis,
     axis_of_involution,
     is_involution,
 )
@@ -273,14 +274,16 @@ class ConjugacyClassKey:
 def canonical_class(elements: Sequence[RotationElement]) -> ConjugacyClassKey:
     """The key of a tuple of pi-rotations up to simultaneous rotation.
 
-    Each axis is taken in integer coordinates: a vector along it scaled by
-    the positive lcm of its denominators, with entries in Z[sqrt(5)].  A
+    Each axis is taken in integer coordinates: a nonzero column of n*(M + I)
+    for n the lcm of the denominators of M, with entries in Z[sqrt(5)].  A
     positive rescale keeps every sign and every cos^2, and a negative one
     is a per-axis sign flip, over which the sign pattern is minimized
     anyway; so any nonzero vector along the axis gives the same key.  The
     Gram entries and the cross product of each pair are taken once, on
     ints, and the sign of each triple v_i . (v_j x v_k) is read from them.
     """
+    if not all(map(is_involution, elements)):
+        raise ValueError("canonical_class requires pi-rotations")
     axes = [_int_axis(g) for g in elements]
     n = len(axes)
     pairs = list(combinations(range(n), 2))
@@ -306,18 +309,6 @@ def canonical_class(elements: Sequence[RotationElement]) -> ConjugacyClassKey:
     )
 
 
-def _int_axis(g: RotationElement) -> tuple:
-    """Integer coordinates along the axis of the pi-rotation g: the group's
-    axis for an involution it owns, else a nonzero column of g + I."""
-    if not is_involution(g):
-        raise ValueError("canonical_class requires pi-rotations")
-    t = g._group
-    if t is not None:
-        return _int_coords(t.axes[g._index].direction)
-    shifted = g.m + Matrix3.identity()
-    return _int_coords(next(c for c in map(shifted.column, range(3)) if not c.is_zero()))
-
-
 def _least_flip_pattern(entries: Sequence[Tuple[int, int]]) -> tuple:
     """Lexicographically least sign pattern under per-axis sign flips.
 
@@ -325,11 +316,16 @@ def _least_flip_pattern(entries: Sequence[Tuple[int, int]]) -> tuple:
     The reachable patterns form an affine space over GF(2), so the minimum is
     greedy: walk the entries in order, keep the parity constraints chosen so
     far as an echelon basis keyed by leading bit, and make every nonzero
-    entry that those constraints leave free read -1.
+    entry that those constraints leave free read -1.  At full rank every
+    later entry reduces to mask 0, so it is read from the flips the basis
+    fixes (back-substituted from the lowest leading bit).
     """
+    n = max((mask for mask, _ in entries), default=0).bit_length()
     basis: Dict[int, Tuple[int, int]] = {}  # leading bit -> (mask, parity)
     out = []
     for mask, sign in entries:
+        if len(basis) == n:
+            break
         parity = 0
         while mask and mask.bit_length() in basis:
             m, p = basis[mask.bit_length()]
@@ -340,7 +336,11 @@ def _least_flip_pattern(entries: Sequence[Tuple[int, int]]) -> tuple:
             out.append(-1)
         else:
             out.append(-sign if parity else sign)
-    return tuple(out)
+    flips = 0  # meets every constraint, so it decides the entries after full rank
+    for bit, (m, p) in sorted(basis.items()):  # set the leading bit to give parity p
+        flips |= ((m & flips).bit_count() & 1 ^ p) << (bit - 1)
+    rest = entries[len(out) :]
+    return tuple(out) + tuple(-s if (m & flips).bit_count() & 1 else s for m, s in rest)
 
 
 def count_classes(

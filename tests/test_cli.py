@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import linkrep.cli
 import linkrep.conditions
-from linkrep.cli import _element_json, _render, main
+from linkrep.cli import _element_json, _render, _Rendered, main
 from linkrep.field import format_scalar
 from linkrep.rotation import (
     icosahedral_group,
@@ -19,7 +19,8 @@ from linkrep.rotation import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 REF1 = str(FIXTURES / "ref1.sld")
 COMMUTING = str(FIXTURES / "commuting.sld")
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 # argv and printed report of one cached search
 COMMUTING_SEARCH = ("search", COMMUTING, "--group", "octahedral", "--dedup", "so3_canonical")
 COMMUTING_STDOUT = (GOLDEN / "search-commuting-octahedral-so3_canonical.stdout").read_text(encoding="utf-8")
@@ -341,6 +342,44 @@ class TestRender:
         for value in ([], {}, [[]], {"": {}}, [{}, []]):
             assert _render(value) == json.dumps(value, indent=2)
 
+    # the edges of the one-join path for lists of exact ints or exact strs:
+    # bools mixed with ints, non-ASCII strings, empty and one-item lists
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers() | st.booleans(), max_size=6),
+            st.lists(st.text(st.sampled_from('é€\u2028😀"\\a\n')), max_size=6),
+            st.lists(st.integers() | st.text(max_size=3), max_size=1),
+            st.lists(st.integers() | st.text(max_size=3) | st.none(), max_size=6),
+        ),
+        st.integers(0, 3),
+    )
+    def test_flat_lists_equal_json_dumps(self, value, depth):
+        for _ in range(depth):
+            value = {"k": [value]}
+        assert _render(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(max_size=4).map(lambda v: (False, v))
+            | json_values.map(lambda v: (True, v)),
+            max_size=6,
+        )
+    )
+    def test_rendered_items_among_strings(self, items):
+        # an item is a str, or any value rendered beforehand at the
+        # indentation of a top-level list item
+        value = [_Rendered(_render(v, "\n  ")) if pre else v for pre, v in items]
+        assert _render(value) == json.dumps([v for _, v in items], indent=2)
+
+    def test_bools_and_rendered_text_take_the_item_path(self):
+        for value in ([True, 1, False], [1, True], [_Rendered("[]"), "[]"], [_Rendered("7")]):
+            expected = json.dumps(
+                [json.loads(v) if type(v) is _Rendered else v for v in value], indent=2
+            )
+            assert _render(value) == expected
+
     @pytest.mark.parametrize("value", [0.5, [1, 2.0], {"energy": float("nan")}])
     def test_floats_raise_type_error(self, value):
         with pytest.raises(TypeError):
@@ -434,6 +473,18 @@ class TestBundle:
 
 
 class TestCanon:
+    @pytest.mark.parametrize("command", ["check", "search", "canon"])
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("matrix_not_orthogonal", "line 6: matrix is not orthogonal"),
+            ("matrix_det", "line 7: matrix has determinant != 1"),
+        ],
+    )
+    def test_rejected_matrix_exits_two_naming_its_line(self, capsys, command, name, message):
+        code, out, err = run(capsys, command, str(TESTS / f"{name}.sld"))
+        assert (code, out, err) == (2, None, {"error": message})
+
     def test_ref1_key(self, capsys):
         code, out, err = run(capsys, "canon", REF1)
         assert code == 0

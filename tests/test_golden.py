@@ -1,7 +1,8 @@
 """Golden CLI corpus: stdout and exit code of `check`, `check --all-sw-paths`
 and `canon` on every fixture, of `search` on every fixture under each group
-preset and dedup mode, of `check` on a malformed diagram, and of `bundle`
-and `obstruct` on a few arguments, compared byte for byte.
+preset and dedup mode, of `check` on a malformed diagram, of `canon` on
+matrix-decorated Hopf tuples and on the two malformed matrices, and of
+`bundle` and `obstruct` on a few arguments, compared byte for byte.
 
 The corpus in tests/golden/ pins behaviour across refactors.  After a
 deliberate change of output, re-record it with
@@ -36,6 +37,14 @@ CALCULUS = {
     "obstruct-summands": ["obstruct", "--summands", "1,1,1,1"],
     "obstruct-b2-summands": ["obstruct", "--b2", "6", "--summands", "4,8,0"],
 }
+# matrix decorations that no group owns: irrational, Pythagorean and mixed
+# with perms, then one matrix rejected per check of the parse (exit 2)
+TUPLES = {
+    "canon-tuple-icosahedral": ["canon", "tests/tuple_icosahedral.sld"],
+    "canon-tuple-mixed": ["canon", "tests/tuple_mixed.sld"],
+    "canon-matrix-not-orthogonal": ["canon", "tests/matrix_not_orthogonal.sld"],
+    "canon-matrix-det": ["canon", "tests/matrix_det.sld"],
+}
 
 
 def _cases() -> dict:
@@ -53,6 +62,7 @@ def _cases() -> dict:
                 ]
     cases["check-malformed"] = ["check", "tests/malformed.sld"]
     cases.update(CALCULUS)
+    cases.update(TUPLES)
     return cases
 
 

@@ -26,9 +26,11 @@ from linkrep.rotation import (
     rotation_to_perm,
     tetrahedral_group,
 )
-from linkrep.rotation import _cube_perms
+from linkrep.rotation import _cube_perms, _int_axis
+import linkrep.field
 
 from conftest import involution_elements
+from matrix_reference import reference_axis, reference_check, reference_is_involution
 
 PRESETS = ("tetrahedral", "octahedral", "icosahedral")
 ALL_S4 = [CubePermutation(tuple(p)) for p in permutations((1, 2, 3, 4))]
@@ -96,7 +98,7 @@ class TestInvolutions:
         group = octahedral_group()
         assert len(group.involutions) == 9
         for g in group:
-            assert is_involution(g) == (g.trace() == ExactScalar.of(-1))
+            assert is_involution(g) == reference_is_involution(g)
 
     def test_axis_extraction(self):
         flip = RotationElement.of([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
@@ -459,3 +461,168 @@ class TestPerIndexFacts:
                     assert axis_of_involution(g) is t.axes[i]
         assert len(calls["_output_form"]) == len(set(calls["_output_form"])) == 24
         assert len(calls["_axis"]) == len(set(calls["_axis"])) == 9
+
+
+# candidate matrices for validation: special orthogonal ones with irrational
+# or Pythagorean entries, then the same negated (det -1) or with one entry
+# perturbed
+PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
+coordinate_signs = st.tuples(*[st.sampled_from((1, -1))] * 3)
+
+
+def _signed(m: Matrix3, s: tuple, t: tuple) -> Matrix3:
+    """diag(s) * m * diag(t): orthogonal, of determinant det(m) * prod(s) * prod(t)."""
+    return Matrix3(
+        tuple(
+            tuple(e if s[i] * t[j] > 0 else -e for j, e in enumerate(row))
+            for i, row in enumerate(m.rows)
+        )
+    )
+
+
+def _plane_rotation(triple: tuple, axis: int) -> Matrix3:
+    """The rotation about a coordinate axis by the angle with cosine a/c
+    and sine b/c, for a Pythagorean triple (a, b, c)."""
+    a, b, c = triple
+    i, j = (k for k in range(3) if k != axis)
+    rows = [[0] * 3 for _ in range(3)]
+    rows[axis][axis] = 1
+    rows[i][i] = rows[j][j] = Fraction(a, c)
+    rows[i][j], rows[j][i] = Fraction(-b, c), Fraction(b, c)
+    return Matrix3.of(rows)
+
+
+icosahedral_signed = st.builds(
+    _signed,
+    st.sampled_from(icosahedral_group().elements).map(lambda g: g.m),
+    coordinate_signs,
+    coordinate_signs,
+)
+pythagorean = st.builds(
+    lambda t, k: _plane_rotation(t, k), st.sampled_from(PYTHAGOREAN), st.integers(0, 2)
+)
+half_turn_scalars = st.builds(
+    ExactScalar,
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+half_turns = (
+    st.builds(Vector3, half_turn_scalars, half_turn_scalars, half_turn_scalars)
+    .filter(lambda v: not v.is_zero())
+    .map(lambda v: from_axis_pi(AxisLine(v)).m)
+)
+rotation_matrices = st.one_of(
+    icosahedral_signed,
+    st.builds(Matrix3.__mul__, pythagorean, pythagorean),
+    st.builds(Matrix3.__mul__, icosahedral_signed, pythagorean),
+    half_turns,
+)
+
+
+@st.composite
+def candidate_matrices(draw):
+    m = draw(rotation_matrices)
+    variant = draw(st.sampled_from(("as drawn", "negated", "perturbed")))
+    if variant == "negated":
+        return m.scale(ExactScalar.of(-1))
+    if variant == "perturbed":
+        k = draw(st.integers(0, 8))
+        delta = draw(half_turn_scalars.filter(lambda x: not x.is_zero()))
+        rows = [list(row) for row in m.rows]
+        rows[k // 3][k % 3] = rows[k // 3][k % 3] + delta
+        return Matrix3(tuple(map(tuple, rows)))
+    return m
+
+
+def _verdict(check, m: Matrix3):
+    """None if check(m) accepts m, else its ValueError message."""
+    try:
+        check(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestMatrixValidation:
+    """RotationElement's check on the integer form against the Matrix3 /
+    ExactScalar check it replaced (tests/matrix_reference.py)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(candidate_matrices())
+    def test_int_check_matches_the_matrix3_reference(self, m):
+        assert _verdict(RotationElement, m) == _verdict(reference_check, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotation_matrices)
+    def test_involution_and_axis_match_the_matrix_reading(self, m):
+        if _verdict(reference_check, m) is not None:
+            return  # a signed icosahedral matrix of determinant -1
+        g = RotationElement(m)
+        assert is_involution(g) is reference_is_involution(g)
+        if is_involution(g):
+            assert axis_of_involution(g) == reference_axis(g)
+
+    def test_pythagorean_rotations_are_accepted(self):
+        for triple in PYTHAGOREAN:
+            for axis in range(3):
+                RotationElement(_plane_rotation(triple, axis))
+        m = _plane_rotation((3, 4, 5), 2) * _plane_rotation((5, 12, 13), 0)
+        assert RotationElement(m).m == m
+
+    def test_negated_rotations_have_determinant_minus_one(self):
+        for g in icosahedral_group():
+            with pytest.raises(ValueError, match="^matrix has determinant != 1$"):
+                RotationElement(g.m.scale(ExactScalar.of(-1)))
+
+    def test_one_perturbed_entry_is_not_orthogonal(self):
+        g = icosahedral_group().elements[7]
+        for k in range(9):
+            rows = [list(row) for row in g.m.rows]
+            rows[k // 3][k % 3] = rows[k // 3][k % 3] + ExactScalar(0, Fraction(1, 4))
+            with pytest.raises(ValueError, match="^matrix is not orthogonal$"):
+                RotationElement(Matrix3(tuple(map(tuple, rows))))
+
+    def test_every_pair_of_rows_is_checked(self):
+        # unit rows, and only the rows of (0, 1, 0) and (0, 3/5, 4/5) meet
+        rows = ((1, 0, 0), (0, 1, 0), (0, Fraction(3, 5), Fraction(4, 5)))
+        for order in permutations(rows):
+            m = Matrix3.of(order)
+            assert _verdict(RotationElement, m) == "matrix is not orthogonal"
+            assert _verdict(reference_check, m) == "matrix is not orthogonal"
+
+    def test_orthogonality_is_checked_before_the_determinant(self):
+        # 2I fails both checks; -2I fails both with a negative determinant
+        for k in (2, -2):
+            with pytest.raises(ValueError, match="^matrix is not orthogonal$"):
+                RotationElement(Matrix3.identity().scale(ExactScalar.of(k)))
+
+    def test_validation_builds_no_matrix_and_no_scalar(self, monkeypatch):
+        ms = [g.m for g in icosahedral_group()] + [_plane_rotation((20, 21, 29), 1)]
+        built = []
+        for name in ("__mul__", "__add__", "transpose", "det"):
+            real = getattr(Matrix3, name)
+            monkeypatch.setattr(
+                Matrix3, name, lambda *a, real=real: built.append(1) or real(*a)
+            )
+        real_fields = linkrep.field._fields
+        monkeypatch.setattr(
+            linkrep.field, "_fields", lambda *a: built.append(1) or real_fields(*a)
+        )
+        real_init = ExactScalar.__init__
+        monkeypatch.setattr(
+            ExactScalar, "__init__", lambda *a: built.append(1) or real_init(*a)
+        )
+        for m in ms:
+            g = RotationElement(m)
+            ints = g._ints
+            if is_involution(g):
+                _int_axis(g)
+            assert g._ints is ints  # built once, then reused
+        assert built == []
+
+    def test_int_form_is_not_pickled(self):
+        g = RotationElement(_plane_rotation((3, 4, 5), 0))
+        ints = g._ints
+        for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert h == g and "_ints" not in h.__dict__
+            assert h._ints == ints

@@ -27,13 +27,14 @@ from linkrep.search import (
     SearchOptions,
     StructuralConditionError,
     _class_transversals,
+    _least_flip_pattern,
     canonical_class,
     count_classes,
     enumerate_valid_decorations,
     verify_onepoint_geometry,
 )
 
-from canon_reference import reference_canonical_class
+from canon_reference import reference_canonical_class, reference_least_flip_pattern
 from conftest import (
     hopf_ring,
     involution_elements,
@@ -342,6 +343,66 @@ class TestCanonicalClassGreedy:
         elements = [invs[p % len(invs)] for p in picks]
         key = canonical_class(elements)
         assert (key.gram_signs, key.triple_signs) == brute_force_signs(elements)
+
+
+flip_signs = st.sampled_from((-1, 0, 1))
+
+
+@st.composite
+def flip_entries(draw):
+    """(mask, sign) lists for _least_flip_pattern over n axes: the pair and
+    triple masks of a key, with every triple sign 0 (coplanar axes), every
+    pair sign 0, or free signs; or masks drawn at random, 0 included."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["key", "coplanar", "zero_gram", "random"]))
+    if shape == "random":
+        masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+        return [(m, draw(flip_signs)) for m in masks]
+    pairs = [1 << i | 1 << j for i, j in combinations(range(n), 2)]
+    triples = [1 << i | 1 << j | 1 << k for i, j, k in combinations(range(n), 3)]
+
+    def signs(masks, zero):
+        if zero:
+            return [0] * len(masks)
+        return draw(st.lists(flip_signs, min_size=len(masks), max_size=len(masks)))
+
+    return list(zip(pairs, signs(pairs, shape == "zero_gram"))) + list(
+        zip(triples, signs(triples, shape == "coplanar"))
+    )
+
+
+class TestLeastFlipPattern:
+    """The closed form after full rank against the greedy over every entry
+    (tests/canon_reference.py)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(flip_entries())
+    def test_matches_the_greedy(self, entries):
+        assert _least_flip_pattern(entries) == reference_least_flip_pattern(entries)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [],  # n = 1: no pair
+            [(0b11, 1)],  # n = 2: one pair, rank 1 of 2
+            [(0b11, 0)],
+            [(0b11, 1), (0b101, -1), (0b110, 1), (0b111, 0)],  # coplanar
+            [(0b11, 0), (0b101, 0), (0b110, 0), (0b111, 1)],  # zero Gram signs
+            [(0b1, 1), (0b10, -1), (0b11, 1), (0b1, -1), (0b0, 1)],  # full, then more
+        ],
+    )
+    def test_small_and_rank_deficient_inputs(self, entries):
+        assert _least_flip_pattern(entries) == reference_least_flip_pattern(entries)
+
+    def test_coplanar_axes_key(self):
+        # every axis in the z = 0 plane: each triple sign is 0, so the basis
+        # never reaches full rank
+        elements = [
+            from_axis_pi(AxisLine.of(*v)) for v in ((1, 0, 0), (3, 4, 0), (1, -2, 0), (0, 1, 0))
+        ]
+        key = canonical_class(elements)
+        assert set(key.triple_signs) == {0}
+        assert key == reference_canonical_class(elements)
 
 
 class TestCountClasses:
