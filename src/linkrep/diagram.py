@@ -5,6 +5,10 @@ contributes two) is a disc vertex, every arc band an untwisted band attached
 at slots whose cyclic order per circle is the order of the slot integers.
 Arc words record signed passes through the discs bounded by circles and feed
 the holonomy calculus in the conditions module.
+
+A diagram is validated once, when it is built (`validate`); its parts
+(`CircleRef`, `ArcBand`) check nothing beyond their own shape.  Components
+and ribbon faces are computed on integer circle and half-edge indices.
 """
 
 from __future__ import annotations
@@ -43,10 +47,8 @@ class CircleRef:
 
     @staticmethod
     def parse(text: str) -> "CircleRef":
-        if "." in text:
-            node, member = text.rsplit(".", 1)
-            return CircleRef(node, member)
-        return CircleRef(text)
+        node, dot, member = text.rpartition(".")
+        return CircleRef(node, member) if dot else CircleRef(text)
 
     def __str__(self) -> str:
         return self.circle_id
@@ -55,7 +57,10 @@ class CircleRef:
 @dataclass(frozen=True)
 class ArcBand:
     """A 1-handle core: endpoints at (circle, slot), a signed intersection word,
-    and framing twist data (recorded; only its parity is ever consumed)."""
+    and framing twist data (recorded; only its parity is ever consumed).
+
+    A band checks nothing on its own: `validate` rejects a word sign other
+    than +1 or -1 when a diagram is built from it."""
 
     id: str
     start: CircleRef
@@ -64,11 +69,6 @@ class ArcBand:
     end_slot: int
     word: Tuple[Tuple[CircleRef, int], ...] = ()
     twist: int = 0
-
-    def __post_init__(self):
-        for _, sign in self.word:
-            if sign not in (1, -1):
-                raise ValueError(f"arc {self.id}: word signs must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,6 @@ class SingularLinkDiagram:
             out.append(f"{h}.b")
         out.extend(self.circles)
         return out
-
-    def resolves(self, ref: CircleRef) -> bool:
-        if ref.member is None:
-            return ref.node in self._circle_set
-        return ref.node in self._hopf_set
 
     @cached_property
     def _circle_set(self) -> FrozenSet[str]:
@@ -163,39 +158,50 @@ class SingularLinkDiagram:
 
 
 def validate(d: SingularLinkDiagram) -> List[str]:
-    """All structural invariant violations; empty means well-formed."""
+    """All structural invariant violations; empty means well-formed.
+
+    Node violations come first (duplicate ids, then circles named like a
+    Hopf member), then duplicate arc ids and odd twists in arc order, then
+    per arc its endpoints (unresolved, or a slot taken twice) and its word
+    (unresolved letters, then at most one bad sign).  A reference resolves
+    when its node is a declared simple circle, or a declared Hopf node for
+    a member reference."""
     violations = []
-    node_ids = list(d.circles) + list(d.hopfs)
+    circle_set, hopf_set = d._circle_set, d._hopf_set
     seen = set()
-    for nid in node_ids:
+    for nid in (*d.circles, *d.hopfs):
         if nid in seen:
             violations.append(f"duplicate node id {nid!r}")
         seen.add(nid)
-    members = {f"{h}.{m}" for h in d.hopfs for m in ("a", "b")}
     for c in d.circles:
-        if c in members:
+        if c[-2:] in (".a", ".b") and c[:-2] in hopf_set:
             violations.append(f"circle id {c!r} is a Hopf member id")
     arc_ids = set()
+    later = []  # endpoint and word violations follow every id and twist one
+    endpoint_slots = set()
     for a in d.arcs:
         if a.id in arc_ids:
             violations.append(f"duplicate arc id {a.id!r}")
         arc_ids.add(a.id)
-        if a.twist % 2 != 0:
+        if a.twist % 2:
             violations.append(f"non-orientable band {a.id}")
-    endpoint_slots = set()
-    for a in d.arcs:
         for ref, slot, which in ((a.start, a.start_slot, "start"), (a.end, a.end_slot, "end")):
-            if not d.resolves(ref):
-                violations.append(f"unresolved reference {ref} at {which} of arc {a.id}")
+            if ref.node not in (hopf_set if ref.member else circle_set):
+                later.append(f"unresolved reference {ref} at {which} of arc {a.id}")
                 continue
             key = (ref.circle_id, slot)
             if key in endpoint_slots:
-                violations.append(f"slot collision at {ref}:{slot} (arc {a.id})")
+                later.append(f"slot collision at {ref}:{slot} (arc {a.id})")
             endpoint_slots.add(key)
-        for ref, _ in a.word:
-            if not d.resolves(ref):
-                violations.append(f"unresolved reference {ref} in word of arc {a.id}")
-    return violations
+        bad_sign = False
+        for ref, sign in a.word:
+            if ref.node not in (hopf_set if ref.member else circle_set):
+                later.append(f"unresolved reference {ref} in word of arc {a.id}")
+            if sign != 1 and sign != -1:
+                bad_sign = True
+        if bad_sign:
+            later.append(f"arc {a.id}: word signs must be +1 or -1")
+    return violations + later
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +280,30 @@ def components(d: SingularLinkDiagram) -> ComponentPartition:
 
 
 def _connected_components(d: SingularLinkDiagram) -> ComponentPartition:
+    """Union-find over circle indices in declaration order.  Every parent
+    index is at most its child's, so each root is the least index of its
+    block, and one ascending sweep points every circle at its root."""
     ids = d.circle_ids()
     index = {cid: i for i, cid in enumerate(ids)}
     parent = list(range(len(ids)))
-
-    def find(i: int) -> int:
+    for a in d.arcs:
+        i = index[a.start.circle_id]
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for a in d.arcs:
-        union(index[a.start.circle_id], index[a.end.circle_id])
-
+        j = index[a.end.circle_id]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
     grouped: Dict[int, List[str]] = {}
-    for cid in ids:
-        grouped.setdefault(find(index[cid]), []).append(cid)
-    blocks = tuple(tuple(grouped[root]) for root in sorted(grouped))
-    return ComponentPartition(blocks)
+    for k, cid in enumerate(ids):
+        root = parent[k] = parent[parent[k]]
+        grouped.setdefault(root, []).append(cid)
+    return ComponentPartition(tuple(map(tuple, grouped.values())))
 
 
 def check_selfint_structure(d: SingularLinkDiagram) -> List[str]:
@@ -320,71 +327,52 @@ def betti(d: SingularLinkDiagram) -> Tuple[int, int]:
 # ribbon genus via boundary tracing
 # ---------------------------------------------------------------------------
 
-def _half_edges(d: SingularLinkDiagram):
-    """Half-edges (arc id, end tag) attached at (circle, slot); per-circle cyclic order."""
-    at_circle: Dict[str, List[Tuple[int, Tuple[str, str]]]] = {}
-    for a in d.arcs:
-        at_circle.setdefault(a.start.circle_id, []).append((a.start_slot, (a.id, "s")))
-        at_circle.setdefault(a.end.circle_id, []).append((a.end_slot, (a.id, "e")))
-    cyclic: Dict[str, List[Tuple[str, str]]] = {}
-    for cid, items in at_circle.items():
-        items.sort()
-        cyclic[cid] = [h for _, h in items]
-    return cyclic
-
-
-def _boundary_cycle_count(cyclic: Dict[str, List[Tuple[str, str]]]) -> int:
-    """Number of boundary circles of the ribbon surface with untwisted bands.
-
-    Faces of the combinatorial map: orbits of sigma o alpha, where sigma is
-    "next half-edge counterclockwise at the vertex" and alpha swaps the two
-    half-edges of each band.  Each orbit is traced once, from the first
-    half-edge (in insertion order) that no earlier trace visited, so the
-    count takes time linear in the number of half-edges.
-    """
-    succ = {}
-    for half_edges in cyclic.values():
-        n = len(half_edges)
-        for i, h in enumerate(half_edges):
-            succ[h] = half_edges[(i + 1) % n]
-    visited = set()
-    cycles = 0
-    for start in succ:
-        if start in visited:
-            continue
-        cycles += 1
-        h = start
-        while True:
-            visited.add(h)
-            arc_id, tag = h
-            h = succ[(arc_id, "e" if tag == "s" else "s")]
-            if h == start:
-                break
-    return cycles
-
-
 def ribbon_genus(d: SingularLinkDiagram) -> List[Tuple[Tuple[str, ...], int]]:
     """Genus of the closed surface of each component of the ribbon graph.
 
     Each circle is a disc, each arc an untwisted band (odd twists are
     rejected by validation), boundary circles are capped off:
-    genus = (2 - (V - E + F)) / 2.  Edges are counted per component in one
-    pass over the arcs.
+    genus = (2 - (V - E + F)) / 2.
+
+    The faces are the orbits of sigma o alpha on integer half-edges: 2k is
+    the start of arc k and 2k+1 its end, so alpha(h) = h ^ 1, and sigma
+    steps to the next half-edge of the same circle in slot order.  A face
+    never leaves its component, so one sweep over the components traces
+    every face once and counts faces and half-edges per component.
     """
-    part = components(d)
-    cyclic = _half_edges(d)
-    edges: Dict[str, int] = {}  # first circle of a component -> its arc count
-    for a in d.arcs:
-        first = part.block_of(a.start.circle_id)[0]
-        edges[first] = edges.get(first, 0) + 1
+    slot = []
+    at: Dict[str, List[int]] = {}  # circle id -> its half-edges
+    for h, a in enumerate(d.arcs):
+        slot += (a.start_slot, a.end_slot)
+        at.setdefault(a.start.circle_id, []).append(2 * h)
+        at.setdefault(a.end.circle_id, []).append(2 * h + 1)
+    succ = [0] * len(slot)
+    for half_edges in at.values():
+        if len(half_edges) > 2:  # one or two are in cyclic order already
+            half_edges.sort(key=slot.__getitem__)
+        prev = half_edges[-1]
+        for h in half_edges:
+            succ[prev] = h
+            prev = h
+    seen = bytearray(len(succ))
     out = []
-    for block in part.blocks:
-        v = len(block)
-        e = edges.get(block[0], 0)
-        local_cyclic = {cid: cyclic[cid] for cid in block if cid in cyclic}
-        f = _boundary_cycle_count(local_cyclic)
-        f += v - len(local_cyclic)  # bare discs
-        chi = v - e + f
+    for block in components(d).blocks:
+        half = f = 0
+        for cid in block:
+            half_edges = at.get(cid)
+            if half_edges is None:
+                f += 1  # a bare disc
+                continue
+            half += len(half_edges)
+            for start in half_edges:
+                if seen[start]:
+                    continue
+                f += 1
+                h = start
+                while not seen[h]:
+                    seen[h] = 1
+                    h = succ[h ^ 1]
+        chi = len(block) - half // 2 + f
         if (2 - chi) % 2 != 0:
             raise RuntimeError(f"odd Euler defect on component {block}")
         genus = (2 - chi) // 2

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .conditions import Decoration
 from .diagram import ArcBand, CircleRef, SingularLinkDiagram
-from .field import format_scalar, parse_scalar
+from .field import Matrix3, format_scalar, parse_scalar
 from .rotation import (
     CubePermutation,
     RotationElement,
@@ -116,15 +116,13 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
 _ARC_KEYWORDS = ["from", "slot", "to", "slot", "word"]
 _SIGNS = {"+": 1, "-": -1}
 
-_RefTable = Dict[str, CircleRef]  # reference text -> its CircleRef, per document
 
+class _RefTable(dict):
+    """Reference text -> its CircleRef, parsed once per document."""
 
-def _ref(text: str, refs: _RefTable) -> CircleRef:
-    """The CircleRef of `text`, parsed once per document."""
-    ref = refs.get(text)
-    if ref is None:
-        ref = refs[text] = CircleRef.parse(text)
-    return ref
+    def __missing__(self, text: str) -> CircleRef:
+        ref = self[text] = CircleRef.parse(text)
+        return ref
 
 
 def _parse_arc(tokens: List[str], lineno: int, refs: _RefTable) -> ArcBand:
@@ -135,19 +133,18 @@ def _parse_arc(tokens: List[str], lineno: int, refs: _RefTable) -> ArcBand:
         for pos, keyword in zip(range(2, 11, 2), _ARC_KEYWORDS):
             if pos >= len(tokens) or tokens[pos] != keyword:
                 raise SldParseError(lineno, f"expected {keyword!r} in arc statement")
-    arc_id = tokens[1]
-    start = _ref(tokens[3], refs)
-    start_slot = _parse_int(tokens[5], lineno, "slot")
-    end = _ref(tokens[7], refs)
-    end_slot = _parse_int(tokens[9], lineno, "slot")
-    rest = tokens[11:]
+    _, arc_id, _, start, _, start_slot, _, end, _, end_slot, _, *rest = tokens
+    start = refs[start]
+    start_slot = _parse_int(start_slot, lineno, "slot")
+    end = refs[end]
+    end_slot = _parse_int(end_slot, lineno, "slot")
     twist = 0
     if "twist" in rest:
         at = rest.index("twist")
         if at != len(rest) - 2:
             raise SldParseError(lineno, "twist takes exactly one trailing integer")
         twist = _parse_int(rest[-1], lineno, "twist")
-        rest = rest[:at]
+        del rest[at:]
     word = []
     for tok in rest:
         ref_text, colon, sign_text = tok.rpartition(":")
@@ -156,16 +153,8 @@ def _parse_arc(tokens: List[str], lineno: int, refs: _RefTable) -> ArcBand:
         sign = _SIGNS.get(sign_text)
         if sign is None:
             raise SldParseError(lineno, f"word sign must be + or -, got {sign_text!r}")
-        word.append((_ref(ref_text, refs), sign))
-    return ArcBand(
-        id=arc_id,
-        start=start,
-        start_slot=start_slot,
-        end=end,
-        end_slot=end_slot,
-        word=tuple(word),
-        twist=twist,
-    )
+        word.append((refs[ref_text], sign))
+    return ArcBand(arc_id, start, start_slot, end, end_slot, tuple(word), twist)
 
 
 # cycle text -> (its permutation, its cube rotation); only texts that parse
@@ -195,19 +184,18 @@ def _parse_decorate(tokens: List[str], lineno: int) -> DecorateStmt:
     if kind == "matrix":
         if len(tokens) != 13:
             raise SldParseError(lineno, "matrix decoration takes nine scalars")
-        entries = [parse_scalar(t) for t in tokens[4:13]]
-        element = RotationElement.of([entries[0:3], entries[3:6], entries[6:9]])
+        entries = tuple([parse_scalar(t) for t in tokens[4:13]])
+        rows = (entries[0:3], entries[3:6], entries[6:9])
+        element = RotationElement(Matrix3._new(rows))
         return DecorateStmt(node=node, element=element, perm=None)
     raise SldParseError(lineno, f"unknown element kind {kind!r}")
 
 
-def _tokenize(line: str, lineno: int) -> List[str]:
-    """Whitespace-separated tokens.  The format's one quoting is a token
-    wholly inside double quotes (a perm cycle), which loses its quotes; any
-    other double quote is an error."""
-    tokens = line.split()
-    if '"' not in line:
-        return tokens
+def _tokenize(tokens: List[str], lineno: int) -> List[str]:
+    """The whitespace-separated `tokens` of a line holding a double quote,
+    unquoted in place.  The format's one quoting is a token wholly inside
+    double quotes (a perm cycle), which loses its quotes; any other double
+    quote is an error."""
     for i, tok in enumerate(tokens):
         if '"' in tok:
             if len(tok) < 2 or tok[0] != '"' or tok[-1] != '"' or '"' in tok[1:-1]:
@@ -222,18 +210,25 @@ def parse(text: str) -> SldDocument:
     node_ids = set()
     arc_ids = set()
     decorated: Dict[str, int] = {}  # node -> line of its decoration
-    refs: _RefTable = {}
+    refs = _RefTable()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        if line.startswith("#"):
-            statements.append(CommentStmt(line[1:].strip()))
-            continue
-        tokens = _tokenize(line, lineno)
         keyword = tokens[0]
+        if keyword[0] == "#":
+            statements.append(CommentStmt(raw.strip()[1:].strip()))
+            continue
+        if '"' in raw:
+            keyword = _tokenize(tokens, lineno)[0]
         try:
-            if keyword == "group":
+            if keyword == "arc":
+                arc = _parse_arc(tokens, lineno, refs)
+                if arc.id in arc_ids:
+                    raise SldParseError(lineno, f"duplicate id {arc.id!r}")
+                arc_ids.add(arc.id)
+                statements.append(ArcStmt(arc))
+            elif keyword == "group":
                 if len(tokens) != 2 or tokens[1] not in GROUP_NAMES:
                     raise SldParseError(
                         lineno, f"group must be one of {', '.join(GROUP_NAMES)}"
@@ -248,12 +243,6 @@ def parse(text: str) -> SldDocument:
                 statements.append(
                     CircleStmt(tokens[1]) if keyword == "circle" else HopfStmt(tokens[1])
                 )
-            elif keyword == "arc":
-                arc = _parse_arc(tokens, lineno, refs)
-                if arc.id in arc_ids:
-                    raise SldParseError(lineno, f"duplicate id {arc.id!r}")
-                arc_ids.add(arc.id)
-                statements.append(ArcStmt(arc))
             elif keyword == "decorate":
                 stmt = _parse_decorate(tokens, lineno)
                 if stmt.node in decorated:

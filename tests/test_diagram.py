@@ -4,6 +4,7 @@ import io
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from linkrep.sldfile import parse
 from conftest import FIXTURES, random_diagram, ref1_diagram
 from ribbon_reference import reference_ribbon_genus
 from triple_arc_reference import triple_arc_findings
+from validate_reference import reference_validate
 
 
 def arc(aid, start, s_slot, end, e_slot, word=(), twist=0):
@@ -149,6 +151,96 @@ class TestValidate:
         betti(d)
         enumerate_valid_decorations(d, SearchOptions(group=octahedral_group()))
         assert calls == [d]
+
+
+def _inject(kind: str, fields: dict, rng: random.Random) -> None:
+    """Add one violation of `kind` to a random diagram's fields."""
+    circles, hopfs, arcs = fields["circles"], fields["hopfs"], fields["arcs"]
+    some_ref = arcs[0].start if arcs else CircleRef(circles[0])
+    if kind == "duplicate node id":
+        circles.append(rng.choice(circles + hopfs))
+    elif kind == "circle named like a Hopf member":
+        if not hopfs:
+            hopfs.append("hz")
+        circles.append(f"{rng.choice(hopfs)}.{rng.choice('ab')}")
+    elif kind == "duplicate arc id":
+        if not arcs:
+            arcs.append(ArcBand("a0", some_ref, 88, some_ref, 89))
+        aid = rng.choice(arcs).id
+        arcs.insert(rng.randint(0, len(arcs)), ArcBand(aid, some_ref, 90, some_ref, 91))
+    elif kind == "odd twist":
+        twist = rng.choice((1, -1, 3))
+        arcs.append(ArcBand(f"t{len(arcs)}", some_ref, 92, some_ref, 93, twist=twist))
+    elif kind == "slot collision":
+        if not arcs:
+            arcs.append(ArcBand("a0", some_ref, 94, some_ref, 95))
+        taken = rng.choice(arcs)
+        ref, slot = rng.choice(((taken.start, taken.start_slot), (taken.end, taken.end_slot)))
+        arcs.append(ArcBand(f"k{len(arcs)}", some_ref, 100 + len(arcs), ref, slot))
+    elif kind == "unresolved endpoint":
+        ghost = rng.choice(
+            (CircleRef("ghost"), CircleRef("ghost", "a"), CircleRef(circles[0], "b"))
+        )
+        arcs.append(ArcBand(f"u{len(arcs)}", some_ref, 96, ghost, 0))
+    else:  # an unresolved word letter
+        ghost = rng.choice((CircleRef("ghost"), CircleRef(circles[0], "a"), CircleRef("hq", "b")))
+        word = ((some_ref, 1), (ghost, rng.choice((1, -1))))
+        arcs.append(ArcBand(f"w{len(arcs)}", some_ref, 97, some_ref, 98, word))
+
+
+VIOLATION_KINDS = (
+    "duplicate node id",
+    "circle named like a Hopf member",
+    "duplicate arc id",
+    "odd twist",
+    "slot collision",
+    "unresolved endpoint",
+    "unresolved word letter",
+)
+
+
+class TestValidateDifferential:
+    """validate against the reference before it read the node-id sets
+    directly and checked word signs: the same violations in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(VIOLATION_KINDS), min_size=1, max_size=4),
+    )
+    def test_same_violations_in_the_same_order(self, seed, kinds):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        fields = {"circles": list(d.circles), "hopfs": list(d.hopfs), "arcs": list(d.arcs)}
+        for kind in kinds:
+            _inject(kind, fields, rng)
+        fields = {k: tuple(v) for k, v in fields.items()}
+        expected = reference_validate(SimpleNamespace(**fields))
+        assert expected
+        with pytest.raises(DiagramError) as exc:
+            SingularLinkDiagram(**fields)
+        assert exc.value.violations == expected
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_well_formed_diagrams_agree(self, seed):
+        d = random_diagram(random.Random(seed))
+        assert validate(d) == reference_validate(d) == []
+
+    @pytest.mark.parametrize("sign", [2, 0])
+    def test_word_sign_other_than_plus_or_minus_one_is_a_violation(self, sign):
+        word = [("c1", 1), ("c2", sign), ("ghost", 1), ("c2", sign)]
+        band = arc("a1", "c1", 0, "c1", 1, word)
+        assert band.word[1][1] == sign  # a bare band checks nothing
+        with pytest.raises(DiagramError) as exc:
+            SingularLinkDiagram(
+                circles=("c1", "c2"), arcs=(band, arc("a2", "c2", 0, "c2", 1, twist=1))
+            )
+        # once per arc, after the arc's unresolved letters
+        assert exc.value.violations == [
+            "non-orientable band a2",
+            "unresolved reference ghost in word of arc a1",
+            "arc a1: word signs must be +1 or -1",
+        ]
 
 
 class TestComponents:

@@ -1,8 +1,9 @@
 """Golden CLI corpus: stdout and exit code of `check`, `check --all-sw-paths`
 and `canon` on every fixture, of `search` on every fixture under each group
 preset and dedup mode, of `check` on a malformed diagram, of `canon` on
-matrix-decorated Hopf tuples and on the two malformed matrices, and of
-`bundle` and `obstruct` on a few arguments, compared byte for byte.
+matrix-decorated Hopf tuples and on the two malformed matrices, of `check`
+on a perturbed decorated chain and on a genus-one diagram, and of `bundle`
+and `obstruct` on a few arguments, compared byte for byte.
 
 The corpus in tests/golden/ pins behaviour across refactors.  After a
 deliberate change of output, re-record it with
@@ -45,6 +46,12 @@ TUPLES = {
     "canon-matrix-not-orthogonal": ["canon", "tests/matrix_not_orthogonal.sld"],
     "canon-matrix-det": ["canon", "tests/matrix_det.sld"],
 }
+# a 40-node chain with a comment, an even twist and a decorated circle that
+# no arc touches; interleaved bands whose genus0 check fails
+DIAGRAMS = {
+    "check-chain-perturbed": ["check", "tests/chain_perturbed.sld"],
+    "check-genus-one": ["check", "tests/genus_one.sld"],
+}
 
 
 def _cases() -> dict:
@@ -63,6 +70,7 @@ def _cases() -> dict:
     cases["check-malformed"] = ["check", "tests/malformed.sld"]
     cases.update(CALCULUS)
     cases.update(TUPLES)
+    cases.update(DIAGRAMS)
     return cases
 
 

@@ -37,6 +37,8 @@ from linkrep.sldfile import (
     serialize,
 )
 
+from sld_reference import reference_parse
+
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
 
@@ -339,11 +341,11 @@ class TestTokenizer:
         lines = [line for text in corpus for line in _statement_lines(text)]
         assert len(lines) > 1000
         for line in lines:
-            assert _tokenize(line, 1) == shlex.split(line), line
+            assert _tokenize(line.split(), 1) == shlex.split(line), line
 
     def test_quoted_token_keeps_inner_text(self):
-        assert _tokenize('decorate h = perm "(12)(34)"', 1)[-1] == "(12)(34)"
-        assert _tokenize('circle ""', 1) == ["circle", ""]
+        assert _tokenize('decorate h = perm "(12)(34)"'.split(), 1)[-1] == "(12)(34)"
+        assert _tokenize('circle ""'.split(), 1) == ["circle", ""]
 
     @pytest.mark.parametrize(
         "line",
@@ -445,6 +447,95 @@ class TestRoundTrip:
         again = parse(text)
         assert again == doc
         assert serialize(again) == text
+
+
+_SAMPLE_ARC = "arc Q from H.a slot 0 to H.b slot 1 word H.a:+ C:-"
+
+
+def _drop_token(tokens, draw):
+    del tokens[draw(st.integers(0, min(10, len(tokens) - 1)))]
+
+
+def _bad_slot(tokens, draw):
+    tokens[draw(st.sampled_from([5, 9]))] = draw(st.sampled_from(["x", "1.5", "", "+"]))
+
+
+def _misplaced_twist(tokens, draw):
+    at = draw(st.integers(11, len(tokens)))
+    tokens[at:at] = draw(st.sampled_from([["twist"], ["twist", "2", "C:+"], ["twist", "x"]]))
+
+
+def _unsigned_entry(tokens, draw):
+    tokens.insert(draw(st.integers(11, len(tokens))), draw(st.sampled_from(["C", "H.a", "C+"])))
+
+
+def _bad_sign(tokens, draw):
+    entry = draw(st.sampled_from(["C:*", "C:", "H.a:++", "C:+1", "C:-:"]))
+    tokens.insert(draw(st.integers(11, len(tokens))), entry)
+
+
+_ARC_CORRUPTIONS = (_drop_token, _bad_slot, _misplaced_twist, _unsigned_entry, _bad_sign)
+
+
+def _corrupt(lines, draw):
+    """Replace one line of a document (or add one) with a corrupted variant."""
+    kind = draw(st.sampled_from(
+        ["arc", "quote", "unknown keyword", "duplicate", "indented comment or blank"]
+    ))
+    if kind == "arc":
+        arcs = [i for i, line in enumerate(lines) if line.startswith("arc ")]
+        if not arcs:
+            lines.append(_SAMPLE_ARC)
+            arcs = [len(lines) - 1]
+        i = draw(st.sampled_from(arcs))
+        tokens = lines[i].split()
+        draw(st.sampled_from(_ARC_CORRUPTIONS))(tokens, draw)
+        lines[i] = " ".join(tokens)
+        return
+    if not lines:
+        lines.append("circle C")
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "quote":
+        tokens = lines[i].split() or ["#"]
+        j = draw(st.integers(0, len(tokens) - 1))
+        template = draw(st.sampled_from(['"{}', '{}"', '"{}"', '{}"x', '"', '"{}""']))
+        tokens[j] = template.format(tokens[j])
+        lines[i] = " ".join(tokens)
+    elif kind == "unknown keyword":
+        keyword = draw(st.sampled_from(["bogus", "arcs", "Arc", "circles", '""', '"arc"']))
+        lines[i] = " ".join([keyword] + lines[i].split()[1:])
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(i, len(lines))), lines[i])
+    else:
+        lines.insert(i, draw(st.sampled_from(
+            ["  # indented", "\t#", "   ", "\t \t", ' # a "quoted" remark', '  #"', "\u3000# wide"]
+        )))
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except SldParseError as exc:
+        return ("error", exc.line, exc.message)
+
+
+class TestParseDifferential:
+    """parse against the reference before one split per line: on a drawn
+    document with one corrupted line, the same document or the same error
+    line and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=sld_documents(), data=st.data())
+    def test_same_document_or_same_error(self, doc, data):
+        lines = serialize(doc).splitlines()
+        _corrupt(lines, data.draw)
+        text = "".join(line + "\n" for line in lines)
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.sld")), ids=lambda p: p.stem)
+    def test_fixtures_parse_alike(self, path):
+        text = path.read_text()
+        assert parse(text) == reference_parse(text)
 
 
 class TestFixtureSemantics:
