@@ -347,18 +347,8 @@ def cmd_bundle(args) -> int:
         profile = bundle_profile(args.b1, args.b2, args.c2)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    out = {
-        "b1": profile.b1,
-        "b2": profile.b2,
-        "c2": profile.c2,
-        "c1sq": profile.c1sq,
-        "p1": profile.p1,
-        "energy": format_scalar(ExactScalar.of(profile.energy)),
-        "compact": profile.compact,
-        "flat": profile.flat,
-        "irreducible_locked": profile.irreducible_locked,
-        "d": profile.d,
-    }
+    out = {f: getattr(profile, f) for f in profile.__match_args__}
+    out["energy"] = format_scalar(ExactScalar.of(profile.energy))
     print(_render(out))
     return 0
 

@@ -9,10 +9,10 @@ provides an independent route to the relator check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ._value import Value, slot_setters
 from .diagram import (
     Adjacency,
     ArcBand,
@@ -29,25 +29,22 @@ class DecorationError(Exception):
     """Missing or ill-typed decoration data."""
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(Value):
     """Total map node id -> rotation.  Both circles of a Hopf pair share
     their node's element.  Lookups go through a dict index that is built
     once and takes no part in comparison.  When one FiniteRotationGroup
     owns every element, construction also notes that group and each node's
     index in it, so the checks fold words on its table."""
 
-    mapping: Tuple[Tuple[str, RotationElement], ...]
-    _index: Dict[str, RotationElement] = field(init=False, repr=False, compare=False)
-    # the group owning every element, else None; then _at is None too
-    _group: Optional[FiniteRotationGroup] = field(init=False, repr=False, compare=False)
-    _at: Optional[Dict[str, int]] = field(init=False, repr=False, compare=False)
+    # _group is the group owning every element, else None; then _at is None too
+    __slots__ = ("mapping", "_index", "_group", "_at")
+    __match_args__ = ("mapping",)
 
-    def __post_init__(self):
+    def __init__(self, mapping: Tuple[Tuple[str, RotationElement], ...]) -> None:
         index: Dict[str, RotationElement] = {}
         at: Optional[Dict[str, int]] = {}
-        group = self.mapping[0][1]._group if self.mapping else None
-        for k, v in self.mapping:
+        group = mapping[0][1]._group if mapping else None
+        for k, v in mapping:
             if k not in index:  # the first pair of a node wins
                 index[k] = v
                 at[k] = v._index
@@ -55,9 +52,10 @@ class Decoration:
                     group = None
         if group is None:
             at = None
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_group", group)
-        object.__setattr__(self, "_at", at)
+        _set_mapping(self, mapping)
+        _set_index(self, index)
+        _set_group(self, group)
+        _set_at(self, at)
 
     @staticmethod
     def of(d: Dict[str, RotationElement]) -> "Decoration":
@@ -76,6 +74,9 @@ class Decoration:
         return Decoration(tuple((k, conjugate(c, v)) for k, v in self.mapping))
 
 
+_set_mapping, _set_index, _set_group, _set_at = slot_setters(Decoration)
+
+
 def ensure_total(d: SingularLinkDiagram, dec: Decoration) -> None:
     if dec._index.keys() >= d.node_ids:
         return
@@ -83,25 +84,40 @@ def ensure_total(d: SingularLinkDiagram, dec: Decoration) -> None:
     raise DecorationError(f"undecorated nodes: {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    diagnostics: Tuple[str, ...] = ()
+class CheckResult(Value):
+    __slots__ = __match_args__ = ("name", "passed", "diagnostics")
+
+    def __init__(
+        self, name: str, passed: bool, diagnostics: Tuple[str, ...] = ()
+    ) -> None:
+        _set_name(self, name)
+        _set_passed(self, passed)
+        _set_diagnostics(self, diagnostics)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    genus0: CheckResult
-    selfint: CheckResult
-    relators: CheckResult
-    sw: CheckResult
+_set_name, _set_passed, _set_diagnostics = slot_setters(CheckResult)
+
+
+class ConditionReport(Value):
+    __slots__ = __match_args__ = ("genus0", "selfint", "relators", "sw")
+
+    def __init__(
+        self, genus0: CheckResult, selfint: CheckResult, relators: CheckResult,
+        sw: CheckResult,
+    ) -> None:
+        _set_genus0(self, genus0)
+        _set_selfint(self, selfint)
+        _set_relators(self, relators)
+        _set_sw(self, sw)
 
     @property
     def passed(self) -> bool:
         return all(
             c.passed for c in (self.genus0, self.selfint, self.relators, self.sw)
         )
+
+
+_set_genus0, _set_selfint, _set_relators, _set_sw = slot_setters(ConditionReport)
 
 
 def _signed_product(factors: Iterable[Tuple[RotationElement, int]]) -> RotationElement:
@@ -350,19 +366,24 @@ def run_all_checks(
 # symbolic presentation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Value):
     """Generators (one per node) and relator words over them."""
 
-    generators: Tuple[str, ...]
-    relators: Tuple[Tuple[Tuple[str, int], ...], ...]
+    __slots__ = __match_args__ = ("generators", "relators")
 
-    def __post_init__(self):
-        gens = set(self.generators)
-        for rel in self.relators:
+    def __init__(
+        self, generators: Tuple[str, ...], relators: Tuple[Tuple[Tuple[str, int], ...], ...]
+    ) -> None:
+        gens = set(generators)
+        for rel in relators:
             for sym, _ in rel:
                 if sym not in gens:
                     raise ValueError(f"relator letter {sym!r} outside the alphabet")
+        _set_generators(self, generators)
+        _set_relator_words(self, relators)
+
+
+_set_generators, _set_relator_words = slot_setters(GroupPresentation)
 
 
 def extract_presentation(d: SingularLinkDiagram) -> GroupPresentation:

@@ -13,11 +13,12 @@ and ribbon faces are computed on integer circle and half-edge indices.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+
+from ._value import Value, slot_setters
 
 
 class DiagramError(Exception):
@@ -28,22 +29,22 @@ class DiagramError(Exception):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class CircleRef:
+class CircleRef(Value):
     """Reference to one circle: a simple circle id, or a Hopf member id.a / id.b.
 
     `circle_id` is that text, computed once at construction; `==`, `hash`
     and `repr` ignore it and see `node` and `member` only."""
 
-    node: str
-    member: Optional[str] = None  # None for simple circles, "a"/"b" for Hopf members
-    circle_id: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("node", "member", "circle_id")
+    __match_args__ = ("node", "member")
 
-    def __post_init__(self):
-        if self.member not in (None, "a", "b"):
-            raise ValueError(f"bad Hopf member tag {self.member!r}")
-        cid = self.node if self.member is None else f"{self.node}.{self.member}"
-        object.__setattr__(self, "circle_id", cid)
+    # member is None for simple circles, "a"/"b" for Hopf members
+    def __init__(self, node: str, member: Optional[str] = None) -> None:
+        if member not in (None, "a", "b"):
+            raise ValueError(f"bad Hopf member tag {member!r}")
+        _set_node(self, node)
+        _set_member(self, member)
+        _set_circle_id(self, node if member is None else f"{node}.{member}")
 
     @staticmethod
     def parse(text: str) -> "CircleRef":
@@ -54,25 +55,39 @@ class CircleRef:
         return self.circle_id
 
 
-@dataclass(frozen=True)
-class ArcBand:
+_set_node, _set_member, _set_circle_id = slot_setters(CircleRef)
+
+
+class ArcBand(Value):
     """A 1-handle core: endpoints at (circle, slot), a signed intersection word,
     and framing twist data (recorded; only its parity is ever consumed).
 
     A band checks nothing on its own: `validate` rejects a word sign other
     than +1 or -1 when a diagram is built from it."""
 
-    id: str
-    start: CircleRef
-    start_slot: int
-    end: CircleRef
-    end_slot: int
-    word: Tuple[Tuple[CircleRef, int], ...] = ()
-    twist: int = 0
+    __slots__ = __match_args__ = (
+        "id", "start", "start_slot", "end", "end_slot", "word", "twist"
+    )
+
+    def __init__(
+        self, id: str, start: CircleRef, start_slot: int, end: CircleRef, end_slot: int,
+        word: Tuple[Tuple[CircleRef, int], ...] = (), twist: int = 0,
+    ) -> None:
+        _set_id(self, id)
+        _set_start(self, start)
+        _set_start_slot(self, start_slot)
+        _set_end(self, end)
+        _set_end_slot(self, end_slot)
+        _set_word(self, word)
+        _set_twist(self, twist)
 
 
-@dataclass(frozen=True)
-class SingularLinkDiagram:
+_set_id, _set_start, _set_start_slot, _set_end, _set_end_slot, _set_word, _set_twist = (
+    slot_setters(ArcBand)
+)
+
+
+class SingularLinkDiagram(Value):
     """A well-formed diagram: construction raises DiagramError listing every
     violation found by `validate`.
 
@@ -81,11 +96,17 @@ class SingularLinkDiagram:
     on first use and cached on the instance, as read-only mappings of
     tuples: every later caller shares it."""
 
-    circles: Tuple[str, ...] = ()
-    hopfs: Tuple[str, ...] = ()
-    arcs: Tuple[ArcBand, ...] = ()
+    # the dict holds the derived structure
+    __slots__ = ("circles", "hopfs", "arcs", "__dict__")
+    __match_args__ = ("circles", "hopfs", "arcs")
 
-    def __post_init__(self):
+    def __init__(
+        self, circles: Tuple[str, ...] = (), hopfs: Tuple[str, ...] = (),
+        arcs: Tuple[ArcBand, ...] = (),
+    ) -> None:
+        _set_circles(self, circles)
+        _set_hopfs(self, hopfs)
+        _set_arcs(self, arcs)
         violations = validate(self)
         if violations:
             raise DiagramError(*violations)
@@ -121,8 +142,26 @@ class SingularLinkDiagram:
         return self._hopf_set | self._circle_set
 
     @cached_property
-    def _partition(self) -> "ComponentPartition":
+    def _circle_index(self) -> Dict[str, int]:
+        """circle id -> its position in circle_ids(): Hopf node k's members
+        are 2k and 2k + 1."""
+        return {cid: i for i, cid in enumerate(self.circle_ids())}
+
+    @cached_property
+    def _components(self) -> Tuple["ComponentPartition", Tuple[str, ...]]:
         return _connected_components(self)
+
+    @cached_property
+    def _steps(self) -> List[List[Tuple[ArcBand, int, int]]]:
+        """circle index -> [(arc, direction, the circle index it leads to)],
+        arcs in id order."""
+        index = self._circle_index
+        steps: List[List[Tuple[ArcBand, int, int]]] = [[] for _ in index]
+        for a in sorted(self.arcs, key=_arc_id):
+            i, j = index[a.start.circle_id], index[a.end.circle_id]
+            steps[i].append((a, 1, j))
+            steps[j].append((a, -1, i))
+        return steps
 
     @cached_property
     def adjacency(self) -> "Adjacency":
@@ -138,10 +177,9 @@ class SingularLinkDiagram:
         C(A_k)^(+-1) ... C(A_1)^(+-1): the arc words in reverse path order,
         an arc walked against its orientation contributing its inverted
         word."""
-        adj = self.adjacency
         words = {}
         for h in self.hopfs:
-            path = _shortest_arc_path(adj, f"{h}.a", f"{h}.b")
+            path = _shortest_arc_path(self, f"{h}.a", f"{h}.b")
             words[h] = None if path is None else _transport_word(path)
         return MappingProxyType(words)
 
@@ -155,6 +193,9 @@ class SingularLinkDiagram:
             ):
                 out[n].append(a)
         return MappingProxyType({n: tuple(arcs) for n, arcs in out.items()})
+
+
+_set_circles, _set_hopfs, _set_arcs = slot_setters(SingularLinkDiagram)
 
 
 def validate(d: SingularLinkDiagram) -> List[str]:
@@ -213,39 +254,40 @@ ArcPath = Tuple[Tuple[ArcBand, int], ...]  # (arc, direction) steps
 Word = Tuple[Tuple[CircleRef, int], ...]  # signed letters, leftmost first
 
 
+_arc_id = attrgetter("id")
+
+
 def _adjacency(d: SingularLinkDiagram) -> Adjacency:
     """circle id -> ((arc, direction), ...), direction +1 start->end,
-    -1 end->start."""
-    adj: Dict[str, List[Tuple[ArcBand, int]]] = {}
-    for a in sorted(d.arcs, key=lambda a: a.id):
-        adj.setdefault(a.start.circle_id, []).append((a, 1))
-        adj.setdefault(a.end.circle_id, []).append((a, -1))
-    return MappingProxyType({cid: tuple(steps) for cid, steps in adj.items()})
+    -1 end->start, for the circles that arcs meet."""
+    return MappingProxyType(
+        {
+            cid: tuple([(a, direction) for a, direction, _ in steps])
+            for cid, steps in zip(d._circle_index, d._steps)
+            if steps
+        }
+    )
 
 
-def _shortest_arc_path(adj: Adjacency, src: str, dst: str) -> Optional[ArcPath]:
-    """BFS path of (arc, direction) steps from circle src to circle dst,
-    ties broken by arc id order."""
-    if src == dst:
+def _shortest_arc_path(d: SingularLinkDiagram, src: str, dst: str) -> Optional[ArcPath]:
+    """BFS path of (arc, direction) steps from circle src to circle dst of d,
+    on circle indices, ties broken by arc id order."""
+    index, steps = d._circle_index, d._steps
+    s, t = index[src], index[dst]
+    if s == t:
         return ()
-    prev: Dict[str, Tuple[str, ArcBand, int]] = {}
-    queue = deque([src])
-    seen = {src}
-    while queue:
-        cur = queue.popleft()
-        for a, direction in adj.get(cur, ()):
-            nxt = a.end.circle_id if direction == 1 else a.start.circle_id
-            if nxt in seen:
+    prev: Dict[int, tuple] = {s: ()}  # circle -> (parent, arc, direction)
+    queue = [s]
+    for cur in queue:  # the queue grows while it is walked
+        for a, direction, nxt in steps[cur]:
+            if nxt in prev:
                 continue
-            seen.add(nxt)
             prev[nxt] = (cur, a, direction)
-            if nxt == dst:
+            if nxt == t:
                 path = []
-                node = dst
-                while node != src:
-                    parent, arc, direction = prev[node]
-                    path.append((arc, direction))
-                    node = parent
+                while nxt != s:
+                    nxt, a, direction = prev[nxt]
+                    path.append((a, direction))
                 return tuple(reversed(path))
             queue.append(nxt)
     return None
@@ -259,33 +301,38 @@ def _transport_word(path: ArcPath) -> Word:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(Value):
     """Connected components of the circle graph (vertices circles, edges arcs)."""
 
-    blocks: Tuple[Tuple[str, ...], ...]
-    _block: Dict[str, Tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("blocks", "_block")
+    __match_args__ = ("blocks",)
 
-    def __post_init__(self):
-        block = {cid: b for b in self.blocks for cid in b}
-        object.__setattr__(self, "_block", block)
+    def __init__(self, blocks: Tuple[Tuple[str, ...], ...]) -> None:
+        _set_blocks(self, blocks)
+        _set_block(self, {cid: b for b in blocks for cid in b})
 
     def block_of(self, circle_id: str) -> Tuple[str, ...]:
         return self._block[circle_id]
 
 
+_set_blocks, _set_block = slot_setters(ComponentPartition)
+
+
 def components(d: SingularLinkDiagram) -> ComponentPartition:
     """The connected components of d, computed on first use and cached on d."""
-    return d._partition
+    return d._components[0]
 
 
-def _connected_components(d: SingularLinkDiagram) -> ComponentPartition:
-    """Union-find over circle indices in declaration order.  Every parent
-    index is at most its child's, so each root is the least index of its
-    block, and one ascending sweep points every circle at its root."""
-    ids = d.circle_ids()
-    index = {cid: i for i, cid in enumerate(ids)}
-    parent = list(range(len(ids)))
+def _connected_components(
+    d: SingularLinkDiagram,
+) -> Tuple[ComponentPartition, Tuple[str, ...]]:
+    """The components, and the Hopf nodes whose two members lie in
+    different ones.  Union-find over circle indices in declaration order:
+    every parent index is at most its child's, so each root is the least
+    index of its block, and one ascending sweep points every circle at its
+    root."""
+    index = d._circle_index
+    parent = list(range(len(index)))
     for a in d.arcs:
         i = index[a.start.circle_id]
         while parent[i] != i:
@@ -300,20 +347,19 @@ def _connected_components(d: SingularLinkDiagram) -> ComponentPartition:
         elif j < i:
             parent[i] = j
     grouped: Dict[int, List[str]] = {}
-    for k, cid in enumerate(ids):
+    for k, cid in enumerate(index):
         root = parent[k] = parent[parent[k]]
         grouped.setdefault(root, []).append(cid)
-    return ComponentPartition(tuple(map(tuple, grouped.values())))
+    split = tuple(
+        h for k, h in enumerate(d.hopfs) if parent[2 * k] != parent[2 * k + 1]
+    )
+    return ComponentPartition(tuple(map(tuple, grouped.values()))), split
 
 
 def check_selfint_structure(d: SingularLinkDiagram) -> List[str]:
-    """Hopf nodes whose two member circles lie in different components."""
-    part = components(d)
-    bad = []
-    for h in d.hopfs:
-        if part.block_of(f"{h}.a") is not part.block_of(f"{h}.b"):
-            bad.append(h)
-    return bad
+    """Hopf nodes whose two member circles lie in different components,
+    found once per diagram by `_connected_components`."""
+    return list(d._components[1])
 
 
 def betti(d: SingularLinkDiagram) -> Tuple[int, int]:

@@ -17,10 +17,11 @@ work on these coordinates, as rotation's matrix check does.  No floats.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
+
+from ._value import Value, slot_setters
 
 RationalLike = Union[int, Fraction]
 
@@ -153,9 +154,7 @@ class ExactScalar:
 
 
 # the slot setters, past the immutability guard
-_set_p = ExactScalar.p.__set__
-_set_q = ExactScalar.q.__set__
-_set_d = ExactScalar.d.__set__
+_set_p, _set_q, _set_d = slot_setters(ExactScalar)
 
 
 def _fields(p: int, q: int, d: int) -> ExactScalar:
@@ -225,11 +224,13 @@ def format_scalar(x: ExactScalar) -> str:
     return f"{_ratio_str(p, d)}{'+' if q > 0 else '-'}{_ratio_str(abs(q), d)}*r5"
 
 
-@dataclass(frozen=True)
-class Vector3:
-    x: ExactScalar
-    y: ExactScalar
-    z: ExactScalar
+class Vector3(Value):
+    __slots__ = __match_args__ = ("x", "y", "z")
+
+    def __init__(self, x: ExactScalar, y: ExactScalar, z: ExactScalar) -> None:
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     @staticmethod
     def of(x: RationalLike, y: RationalLike, z: RationalLike) -> "Vector3":
@@ -264,23 +265,25 @@ class Vector3:
         )
 
 
-@dataclass(frozen=True)
-class Matrix3:
+_set_x, _set_y, _set_z = slot_setters(Vector3)
+
+
+class Matrix3(Value):
     """Row-major 3x3 matrix over Q(sqrt(5))."""
 
-    rows: tuple
+    __slots__ = __match_args__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+    def __init__(self, rows: tuple) -> None:
+        rows = tuple(tuple(row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Matrix3 requires 3x3 entries")
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
 
     @staticmethod
     def _new(rows: tuple) -> "Matrix3":
         # internal fast path: rows already a well-shaped tuple of tuples
         m = object.__new__(Matrix3)
-        object.__setattr__(m, "rows", rows)
+        _set_rows(m, rows)
         return m
 
     @staticmethod
@@ -358,6 +361,7 @@ class Matrix3:
         )
 
 
+(_set_rows,) = slot_setters(Matrix3)
 _IDENTITY = Matrix3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
@@ -383,24 +387,26 @@ def _canonicalize_direction(v: Vector3) -> Vector3:
     return w
 
 
-@dataclass(frozen=True)
-class AxisLine:
+class AxisLine(Value):
     """An unsigned line through the origin, held by its canonical direction.
 
     A pi-rotation determines its axis only up to sign, so axes compare as
     lines: v and -v (and any nonzero rescaling) canonicalize identically.
     """
 
-    direction: Vector3
+    __slots__ = __match_args__ = ("direction",)
 
-    def __post_init__(self):
-        if self.direction.is_zero():
+    def __init__(self, direction: Vector3) -> None:
+        if direction.is_zero():
             raise ValueError("zero vector does not span an axis")
-        object.__setattr__(self, "direction", _canonicalize_direction(self.direction))
+        _set_direction(self, _canonicalize_direction(direction))
 
     @staticmethod
     def of(x: RationalLike, y: RationalLike, z: RationalLike) -> "AxisLine":
         return AxisLine(Vector3.of(x, y, z))
+
+
+(_set_direction,) = slot_setters(AxisLine)
 
 
 def is_perpendicular(u: AxisLine, v: AxisLine) -> bool:

@@ -8,11 +8,12 @@ mod-4 divisibility obstructions coming from the Pontryagin square.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
+
+from ._value import Value, slot_setters
 
 #: energies at which the moduli space is compact regardless of the metric
 COMPACT_ENERGIES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -23,21 +24,33 @@ HUREWICZ_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BundleProfile:
+class BundleProfile(Value):
     """Topological profile of a rank-2 bundle with characteristic first Chern class
     over a negative definite 4-manifold (b2+ = 0, diagonal lattice)."""
 
-    b1: int
-    b2: int
-    c2: int
-    c1sq: int
-    p1: int
-    energy: Fraction
-    compact: bool
-    flat: bool
-    irreducible_locked: bool
-    d: int
+    __slots__ = __match_args__ = (
+        "b1", "b2", "c2", "c1sq", "p1", "energy", "compact", "flat",
+        "irreducible_locked", "d",
+    )
+
+    def __init__(
+        self, b1: int, b2: int, c2: int, c1sq: int, p1: int, energy: Fraction,
+        compact: bool, flat: bool, irreducible_locked: bool, d: int,
+    ) -> None:
+        _set_b1(self, b1)
+        _set_b2(self, b2)
+        _set_c2(self, c2)
+        _set_c1sq(self, c1sq)
+        _set_p1(self, p1)
+        _set_energy(self, energy)
+        _set_compact(self, compact)
+        _set_flat(self, flat)
+        _set_irreducible_locked(self, irreducible_locked)
+        _set_d(self, d)
+
+
+(_set_b1, _set_b2, _set_c2, _set_c1sq, _set_p1, _set_energy, _set_compact, _set_flat,
+ _set_irreducible_locked, _set_d) = slot_setters(BundleProfile)
 
 
 def _splitting_exists(b2: int, c2: int) -> bool:
@@ -171,16 +184,27 @@ def pontryagin_square_diag(c: Sequence[int]) -> int:
     return (-sum(ci * ci for ci in c)) % 4
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    psq: int
-    divisibility_pass: bool
-    summand_verdicts: Optional[Tuple[Tuple[int, bool], ...]] = None
-    hurewicz_flag: str = HUREWICZ_NOTE
+class ObstructionReport(Value):
+    __slots__ = __match_args__ = (
+        "psq", "divisibility_pass", "summand_verdicts", "hurewicz_flag"
+    )
 
-    def __post_init__(self):
-        if self.divisibility_pass != (self.psq == 0):
+    def __init__(
+        self, psq: int, divisibility_pass: bool,
+        summand_verdicts: Optional[Tuple[Tuple[int, bool], ...]] = None,
+        hurewicz_flag: str = HUREWICZ_NOTE,
+    ) -> None:
+        if divisibility_pass != (psq == 0):
             raise ValueError("divisibility verdict must mirror the residue")
+        _set_psq(self, psq)
+        _set_divisibility_pass(self, divisibility_pass)
+        _set_summand_verdicts(self, summand_verdicts)
+        _set_hurewicz_flag(self, hurewicz_flag)
+
+
+_set_psq, _set_divisibility_pass, _set_summand_verdicts, _set_hurewicz_flag = (
+    slot_setters(ObstructionReport)
+)
 
 
 def divisibility_obstruction(b2: int) -> ObstructionReport:

@@ -19,18 +19,17 @@ first, then g.  Permutation composition follows the same convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
 from types import MappingProxyType
 from typing import Optional, Sequence
 
+from ._value import Value, slot_setters
 from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_scalar, outer
 from .field import _int_dot, _int_triple
 
 
-@dataclass(frozen=True)
-class RotationElement:
+class RotationElement(Value):
     """An exact special-orthogonal 3x3 matrix.
 
     An element owned by a FiniteRotationGroup carries the group and its
@@ -41,12 +40,14 @@ class RotationElement:
     answer.
     """
 
-    m: Matrix3
+    __slots__ = ("m", "__dict__")  # the dict holds _ints and the group tags
+    __match_args__ = ("m",)
 
     _group = None  # the owning FiniteRotationGroup, set by _close
     _index = -1
 
-    def __post_init__(self):
+    def __init__(self, m: Matrix3) -> None:
+        _set_m(self, m)
         # R = n*M: M^T M = I iff R R^T = n^2 I, and then det M = 1 iff det R = n^3
         n, (r, s, t) = self._ints
         diagonal = (_int_dot(r, r), _int_dot(s, s), _int_dot(t, t))
@@ -70,7 +71,7 @@ class RotationElement:
     def _new(m: Matrix3) -> "RotationElement":
         # internal fast path: m already known special-orthogonal
         g = object.__new__(RotationElement)
-        object.__setattr__(g, "m", m)
+        _set_m(g, m)
         return g
 
     @staticmethod
@@ -95,10 +96,8 @@ class RotationElement:
                 return self._index == t.identity
         return self.m == other.m
 
-    # written out because a frozen dataclass keeps only an explicit __hash__;
-    # it is the value the generated one had
-    def __hash__(self) -> int:
-        return hash((self.m,))
+    # defining __eq__ drops the inherited __hash__, the hash of (m,)
+    __hash__ = Value.__hash__
 
     def __mul__(self, other: "RotationElement") -> "RotationElement":
         t = self._group
@@ -132,6 +131,7 @@ class RotationElement:
         )
 
 
+(_set_m,) = slot_setters(RotationElement)
 _IDENTITY = RotationElement._new(Matrix3.identity())
 
 
@@ -193,18 +193,18 @@ def from_axis_pi(axis: AxisLine) -> RotationElement:
 _CYCLES_RE = re.compile(r"\(([1-4]*)\)")
 
 
-@dataclass(frozen=True)
-class CubePermutation:
+class CubePermutation(Value):
     """A permutation of {1,2,3,4}, acting on the four cube diagonals.
 
     images[i-1] is the image of i.  (p * q) applies q first.
     """
 
-    images: tuple
+    __slots__ = __match_args__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != [1, 2, 3, 4]:
-            raise ValueError(f"not a permutation of 1..4: {self.images}")
+    def __init__(self, images: tuple) -> None:
+        if sorted(images) != [1, 2, 3, 4]:
+            raise ValueError(f"not a permutation of 1..4: {images}")
+        _set_images(self, images)
 
     @staticmethod
     def identity() -> "CubePermutation":
@@ -264,6 +264,9 @@ class CubePermutation:
 
     def __repr__(self) -> str:
         return f"CubePermutation({self.cycle_str()!r})"
+
+
+(_set_images,) = slot_setters(CubePermutation)
 
 
 #: the four cube diagonals, fixed once for a deterministic embedding

@@ -52,10 +52,10 @@ from the solved flips after that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._value import Value, slot_setters
 from .conditions import (
     Decoration,
     _word_index,
@@ -88,16 +88,24 @@ class StructuralConditionError(Exception):
     """A decoration-independent condition fails, so the search is vacuous."""
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    group: FiniteRotationGroup
-    dedup: str = "so3_canonical"  # none | group_conjugacy | so3_canonical
-    # reject Stiefel-Whitney failures while backtracking, on group indices
-    prune_sw: bool = False
+class SearchOptions(Value):
+    __slots__ = __match_args__ = ("group", "dedup", "prune_sw")
 
-    def __post_init__(self):
-        if self.dedup not in ("none", "group_conjugacy", "so3_canonical"):
-            raise ValueError(f"unknown dedup mode {self.dedup!r}")
+    def __init__(
+        self,
+        group: FiniteRotationGroup,
+        dedup: str = "so3_canonical",  # none | group_conjugacy | so3_canonical
+        # reject Stiefel-Whitney failures while backtracking, on group indices
+        prune_sw: bool = False,
+    ) -> None:
+        if dedup not in ("none", "group_conjugacy", "so3_canonical"):
+            raise ValueError(f"unknown dedup mode {dedup!r}")
+        _set_group(self, group)
+        _set_dedup(self, dedup)
+        _set_prune_sw(self, prune_sw)
+
+
+_set_group, _set_dedup, _set_prune_sw = slot_setters(SearchOptions)
 
 
 #: Hopf nodes of the reference fixture fixtures/ref1.sld, in declaration order
@@ -260,15 +268,28 @@ def enumerate_valid_decorations(
 # conjugacy canonicalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjugacyClassKey:
+class ConjugacyClassKey(Value):
     """Complete exact invariant of an ordered tuple of pi-rotations up to
     simultaneous rotation, computed from the unsigned-axis configuration."""
 
-    size: int
-    cos_squared: tuple  # upper-triangular (i<j) normalized squared Gram entries
-    gram_signs: tuple  # canonical sign pattern of Gram entries, i<j
-    triple_signs: tuple  # canonical signs of det(v_i, v_j, v_k), i<j<k
+    __slots__ = __match_args__ = ("size", "cos_squared", "gram_signs", "triple_signs")
+
+    def __init__(
+        self,
+        size: int,
+        cos_squared: tuple,  # upper-triangular (i<j) normalized squared Gram entries
+        gram_signs: tuple,  # canonical sign pattern of Gram entries, i<j
+        triple_signs: tuple,  # canonical signs of det(v_i, v_j, v_k), i<j<k
+    ) -> None:
+        _set_size(self, size)
+        _set_cos_squared(self, cos_squared)
+        _set_gram_signs(self, gram_signs)
+        _set_triple_signs(self, triple_signs)
+
+
+_set_size, _set_cos_squared, _set_gram_signs, _set_triple_signs = slot_setters(
+    ConjugacyClassKey
+)
 
 
 def canonical_class(elements: Sequence[RotationElement]) -> ConjugacyClassKey:

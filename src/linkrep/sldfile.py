@@ -16,9 +16,9 @@ preserved as statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from ._value import Value, slot_setters
 from .conditions import Decoration
 from .diagram import ArcBand, CircleRef, SingularLinkDiagram
 from .field import Matrix3, format_scalar, parse_scalar
@@ -38,44 +38,70 @@ class SldParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class GroupStmt:
-    name: str
+class GroupStmt(Value):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_group_name(self, name)
 
 
-@dataclass(frozen=True)
-class CircleStmt:
-    id: str
+class CircleStmt(Value):
+    __slots__ = __match_args__ = ("id",)
+
+    def __init__(self, id: str) -> None:
+        _set_circle_id(self, id)
 
 
-@dataclass(frozen=True)
-class HopfStmt:
-    id: str
+class HopfStmt(Value):
+    __slots__ = __match_args__ = ("id",)
+
+    def __init__(self, id: str) -> None:
+        _set_hopf_id(self, id)
 
 
-@dataclass(frozen=True)
-class ArcStmt:
-    arc: ArcBand
+class ArcStmt(Value):
+    __slots__ = __match_args__ = ("arc",)
+
+    def __init__(self, arc: ArcBand) -> None:
+        _set_arc(self, arc)
 
 
-@dataclass(frozen=True)
-class DecorateStmt:
-    node: str
-    element: RotationElement
-    perm: Optional[CubePermutation]  # kept so the textual form round-trips
+class DecorateStmt(Value):
+    __slots__ = __match_args__ = ("node", "element", "perm")
+
+    def __init__(
+        self,
+        node: str,
+        element: RotationElement,
+        perm: Optional[CubePermutation],  # kept so the textual form round-trips
+    ) -> None:
+        _set_node(self, node)
+        _set_element(self, element)
+        _set_perm(self, perm)
 
 
-@dataclass(frozen=True)
-class CommentStmt:
-    text: str  # without the leading "# "
+class CommentStmt(Value):
+    __slots__ = __match_args__ = ("text",)
 
+    def __init__(self, text: str) -> None:  # text without the leading "# "
+        _set_text(self, text)
+
+
+(_set_group_name,) = slot_setters(GroupStmt)
+(_set_circle_id,) = slot_setters(CircleStmt)
+(_set_hopf_id,) = slot_setters(HopfStmt)
+(_set_arc,) = slot_setters(ArcStmt)
+_set_node, _set_element, _set_perm = slot_setters(DecorateStmt)
+(_set_text,) = slot_setters(CommentStmt)
 
 Statement = Union[GroupStmt, CircleStmt, HopfStmt, ArcStmt, DecorateStmt, CommentStmt]
 
 
-@dataclass(frozen=True)
-class SldDocument:
-    statements: Tuple[Statement, ...]
+class SldDocument(Value):
+    __slots__ = __match_args__ = ("statements",)
+
+    def __init__(self, statements: Tuple[Statement, ...]) -> None:
+        _set_statements(self, statements)
 
     def group_name(self) -> Optional[str]:
         for s in self.statements:
@@ -103,6 +129,9 @@ class SldDocument:
             s.node: s.element for s in self.statements if isinstance(s, DecorateStmt)
         }
         return Decoration.of(pairs) if pairs else None
+
+
+(_set_statements,) = slot_setters(SldDocument)
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

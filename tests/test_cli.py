@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -517,3 +520,23 @@ class TestCanon:
         code, out, _ = run(capsys, "canon", str(f))
         assert code == 0
         assert out == base_out
+
+
+class TestColdImport:
+    def test_cli_imports_no_dataclass_machinery(self):
+        # a fresh process pays for every module the CLI imports; dataclasses
+        # would bring inspect (and dis, ast, tokenize) with it
+        env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import linkrep.cli, sys; "
+                "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.split() == []

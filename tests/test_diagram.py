@@ -7,7 +7,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linkrep.diagram
@@ -18,6 +18,7 @@ from linkrep.diagram import (
     DiagramError,
     SingularLinkDiagram,
     betti,
+    check_selfint_structure,
     components,
     ribbon_genus,
     validate,
@@ -29,6 +30,7 @@ from linkrep.search import SearchOptions, enumerate_valid_decorations
 from linkrep.sldfile import parse
 
 from conftest import FIXTURES, random_diagram, ref1_diagram
+from member_words_reference import reference_member_words
 from ribbon_reference import reference_ribbon_genus
 from triple_arc_reference import triple_arc_findings
 from validate_reference import reference_validate
@@ -291,6 +293,49 @@ class TestComponents:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["check", str(FIXTURES / "ref1.sld")]) == 0
         assert len(calls) == 2
+
+
+class TestMemberWords:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=3)  # h0's members are not joined, h1's are
+    def test_same_words_as_the_string_keyed_search(self, seed):
+        rng = random.Random(seed)
+        d = random_diagram(rng)
+        # arc ids in another order than the arcs: the tie-break is by id
+        shuffled = list(d.arcs)
+        rng.shuffle(shuffled)
+        for diagram in (d, SingularLinkDiagram(d.circles, d.hopfs, tuple(shuffled))):
+            assert dict(diagram.member_words) == reference_member_words(diagram)
+
+    def test_seeded_draws_include_unjoined_members(self):
+        words = reference_member_words(random_diagram(random.Random(3)))
+        assert words["h0"] is None and words["h1"] is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_split_hopf_nodes_match_the_component_blocks(self, seed):
+        d = random_diagram(random.Random(seed))
+        part = components(d)
+        assert check_selfint_structure(d) == [
+            h for h in d.hopfs if part.block_of(f"{h}.a") is not part.block_of(f"{h}.b")
+        ]
+
+    def test_split_hopf_nodes_found_once_per_diagram(self, monkeypatch):
+        calls = []
+        real = linkrep.diagram._connected_components
+        monkeypatch.setattr(
+            linkrep.diagram,
+            "_connected_components",
+            lambda d: calls.append(d) or real(d),
+        )
+        d = SingularLinkDiagram(
+            circles=("c",), hopfs=("h1", "h2"), arcs=(arc("a1", "h1.a", 0, "h1.b", 0),)
+        )
+        assert check_selfint_structure(d) == ["h2"]
+        with pytest.raises(DiagramError, match="ill-defined"):
+            betti(d)
+        assert calls == [d]
 
 
 class TestBetti:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import shlex
 import sys
@@ -254,7 +253,7 @@ class TestCircleRef:
     def test_circle_id_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             CircleRef("H", "a", "H.a")
-        assert dataclasses.replace(CircleRef("H", "a"), member="b").circle_id == "H.b"
+        assert CircleRef("H", "b").circle_id == "H.b"
 
 
 COMMUTING_TEXT = (FIXTURES / "commuting.sld").read_text()
