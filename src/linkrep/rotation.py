@@ -2,12 +2,15 @@
 
 Provides the rotation element type, conjugation, involution and axis
 extraction, the dictionary between S4 (permuting the four cube diagonals) and
-the 24 cube rotations, and finite groups closed from generators.  A matrix
-is validated once, on the ints of n*M (n the lcm of its denominators).  A
-finite group is its Cayley table, built and validated when the group is.
-The elements a group owns know their index in it, so products, inverses,
-equality and lookups among them are table reads: two elements of one group
-are equal iff their indices are.  The group also holds the facts about
+the 24 cube rotations, and finite groups closed from generators.  An
+element's int form is n with the rows of n*M (n the lcm of its
+denominators), canonical, so equal matrices have equal forms.  A matrix is
+validated once, on its form; a group is closed and keyed on forms, and the
+cube dictionary reads the diagonal images on them.  A finite group is its
+Cayley table, built and validated when the group is.  The elements a group
+owns know their index in it, so products, inverses, equality and lookups
+among them are table reads: two elements of one group are equal iff their
+indices are.  The group also holds the facts about
 single elements that searches and reports ask for repeatedly (the
 conjugation table, each involution's axis, each element's output form), each
 built in one pass on first use, so at most once per index.
@@ -20,13 +23,13 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 from ._value import Value, slot_setters
 from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_scalar, outer
-from .field import _int_dot, _int_triple
+from .field import _int_dot, _int_triple, _reduced
 
 
 class RotationElement(Value):
@@ -270,22 +273,23 @@ class CubePermutation(Value):
 
 
 #: the four cube diagonals, fixed once for a deterministic embedding
-DIAGONALS = (
-    Vector3.of(1, 1, 1),
-    Vector3.of(1, -1, -1),
-    Vector3.of(-1, 1, -1),
-    Vector3.of(-1, -1, 1),
-)
-
-
-_DIAGONAL_LINES = [AxisLine(d) for d in DIAGONALS]
+DIAGONALS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+#: each diagonal and its negative -> the diagonal's number, 1 to 4
+_DIAGONAL_NUMBER = {
+    tuple(s * x for x in d): k for k, d in enumerate(DIAGONALS, 1) for s in (1, -1)
+}
 
 
 def _diagonal_action(g: RotationElement) -> CubePermutation:
-    """The permutation of the four diagonal lines induced by a cube rotation g
-    (ValueError if g moves a diagonal off the diagonals)."""
+    """The permutation of the four diagonal lines induced by a cube rotation
+    g.  g is rational, so the rational parts of the rows of its form n*M
+    take each diagonal d to +-n*d' (KeyError if d' is no diagonal)."""
+    n, rows = g._ints
     return CubePermutation(
-        tuple(_DIAGONAL_LINES.index(AxisLine(g.apply(d))) + 1 for d in DIAGONALS)
+        tuple(
+            _DIAGONAL_NUMBER[tuple((r[0] * x + r[2] * y + r[4] * z) // n for r in rows)]
+            for x, y, z in DIAGONALS
+        )
     )
 
 
@@ -339,12 +343,12 @@ GROUP_SIZE_LIMIT = 200
 class FiniteRotationGroup:
     """A finite subgroup of SO(3), held as its Cayley table.
 
-    Indices follow sort_key order, so comparing index tuples compares
-    element tuples.  The group owns its elements (each knows its index
-    here), and two of them are equal iff their indices are.  Built with the
-    group:
+    The group is closed on int forms (see _close), and indices follow
+    sort_key order, so comparing index tuples compares element tuples.  The
+    group owns its elements (each knows its index and its form), and two of
+    them are equal iff their indices are; index_of finds any other element
+    by its form.  Built with the group:
       elements     the elements, in sort_key order;
-      index        sort_key -> index;
       mul[i][j]    the index of elements[i] * elements[j];
       inv[i]       the index of elements[i]^-1;
       identity     the index of the identity;
@@ -363,7 +367,7 @@ class FiniteRotationGroup:
         they are closed under product (so a group is never empty)."""
         group = _close(elements, name)
         # the closure holds the identity and every given element
-        if len(group) != len({g.sort_key() for g in elements}):
+        if len(group) != len({g._ints for g in elements}):
             raise ValueError("group elements are not their own closure")
         return group
 
@@ -386,10 +390,10 @@ class FiniteRotationGroup:
 
     def index_of(self, g: RotationElement) -> Optional[int]:
         """The index of g, or None if g is not in the group: the element's
-        own index when this group owns it, a sort_key lookup otherwise."""
+        own index when this group owns it, a lookup of its int form otherwise."""
         if g._group is self:
             return g._index
-        return self.index.get(g.sort_key())
+        return self._by_ints.get(g._ints)
 
     @cached_property
     def conj(self) -> tuple:
@@ -412,20 +416,32 @@ class FiniteRotationGroup:
 def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
     """The group generated by gens, closed under right multiplication by them.
 
-    That costs |G| * len(gens) products.  Each new element is reached as
-    parent * gens[k]; the rest of the table follows by index from these
-    words, since x * (parent * g_k) = (x * parent) * g_k.  The group owns
-    the elements it finds, fresh objects that it tags with their index.
+    The closure runs on int forms (n, rows of n*M): a product is n*m and
+    the row-by-column dots of the two forms, all divided by their gcd, which
+    leaves the product's own form.  That costs |G| * len(gens)
+    products.  Each new element is reached as parent * gens[k]; the rest of
+    the table follows by index from these words, since
+    x * (parent * g_k) = (x * parent) * g_k.  The forms are sorted once, by
+    the ints x*(L/n) for L the lcm of every n, which is sort_key order.  The
+    group owns one fresh element per form, with its form and index set.
     """
-    found = [RotationElement._new(Matrix3.identity())]
-    where = {found[0].sort_key(): 0}
+    found = [_IDENTITY._ints]
+    where = {found[0]: 0}
     word = [None]  # (parent, k) per element; the identity has none
     right = []  # right[i][k] = index of found[i] * gens[k]
-    for i, x in enumerate(found):  # found grows while it is walked
+    gen_cols = [
+        (m, tuple(tuple(x for row in rows for x in row[k : k + 2]) for k in (0, 2, 4)))
+        for m, rows in (g._ints for g in gens)
+    ]
+    for i, (n, rows) in enumerate(found):  # found grows while it is walked
         right.append([])
-        for k, g in enumerate(gens):
-            y = x * g
-            j = where.setdefault(y.sort_key(), len(found))
+        for k, (m, cols) in enumerate(gen_cols):
+            flat = [x for row in rows for col in cols for x in _int_dot(row, col)]
+            d = gcd(n * m, *flat)
+            if d != 1:
+                flat = [x // d for x in flat]
+            y = (n * m // d, (tuple(flat[:6]), tuple(flat[6:12]), tuple(flat[12:])))
+            j = where.setdefault(y, len(found))
             if j == len(found):
                 if j >= GROUP_SIZE_LIMIT:
                     raise ValueError("not a finite subgroup preset size")
@@ -433,7 +449,10 @@ def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
                 word.append((i, k))
             right[i].append(j)
     n = len(found)
-    order = sorted(range(n), key=lambda j: found[j].sort_key())
+    top = lcm(*(form[0] for form in found))
+    order = sorted(
+        range(n), key=lambda j: [x * (top // found[j][0]) for row in found[j][1] for x in row]
+    )
     rank = {j: r for r, j in enumerate(order)}
     mul = [None] * n
     for x in range(n):
@@ -443,20 +462,23 @@ def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
             row[j] = right[row[parent]][k]
         mul[rank[x]] = tuple(rank[row[j]] for j in order)
     e = rank[0]
-    elements = tuple(found[j] for j in order)
     group = object.__new__(FiniteRotationGroup)
+    elements = []
+    for i, j in enumerate(order):
+        den, rows = found[j]
+        entries = tuple(tuple(_reduced(r[k], r[k + 1], den) for k in (0, 2, 4)) for r in rows)
+        g = RotationElement._new(Matrix3._new(entries))
+        g.__dict__.update(_ints=found[j], _group=group, _index=i)
+        elements.append(g)
     group.__dict__.update(
-        elements=elements,
+        elements=tuple(elements),
         name=name,
-        index={key: rank[j] for key, j in where.items()},
+        _by_ints={form: rank[j] for form, j in where.items()},
         mul=tuple(mul),
         inv=tuple(row.index(e) for row in mul),
         identity=e,
         involutions=tuple(i for i, row in enumerate(mul) if row[i] == e != i),
     )
-    for i, g in enumerate(elements):
-        object.__setattr__(g, "_group", group)
-        object.__setattr__(g, "_index", i)
     return group
 
 

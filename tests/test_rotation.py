@@ -1,6 +1,10 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from linkrep.rotation import (
 from linkrep.rotation import _cube_perms, _int_axis
 import linkrep.field
 
+from closure_reference import reference_close, reference_cube_perms, reference_index_of
 from conftest import involution_elements
 from matrix_reference import reference_axis, reference_check, reference_is_involution
 
@@ -252,7 +257,9 @@ class TestGroupTable:
         t = icosahedral_group()
         keys = [g.sort_key() for g in t.elements]
         assert keys == sorted(keys)
-        assert all(t.index[k] == i for i, k in enumerate(keys))
+        assert all(
+            t.index_of(RotationElement.of(g.m.rows)) == i for i, g in enumerate(t.elements)
+        )
 
     def test_sort_key_is_the_rational_parts(self):
         # integral entries give int pairs, which compare and hash as the
@@ -356,10 +363,10 @@ class TestTableElements:
             assert g in oct_
             assert rotation_to_perm(g) is not None
         assert calls == []
-        # elements of another group are still found by value
+        # elements of another group are still found by value, on their int form
         assert icosahedral_group().elements[0] in oct_  # a coordinate flip
         assert rot("(12)") not in tetrahedral_group()
-        assert len(calls) == 2
+        assert len(calls) == 0
 
 
 TAGGED = [g for name in PRESETS for g in preset_group(name)]
@@ -461,6 +468,119 @@ class TestPerIndexFacts:
                     assert axis_of_involution(g) is t.axes[i]
         assert len(calls["_output_form"]) == len(set(calls["_output_form"])) == 24
         assert len(calls["_axis"]) == len(set(calls["_axis"])) == 9
+
+
+def assert_same_group(group: FiniteRotationGroup, reference: FiniteRotationGroup) -> None:
+    """The same elements (as matrices) in the same order, the same tables and
+    per-index facts, and each element's int form the one its matrix gives."""
+    assert [g.m for g in group] == [g.m for g in reference]
+    assert group.mul == reference.mul and group.inv == reference.inv
+    assert group.identity == reference.identity
+    assert group.involutions == reference.involutions
+    assert group.conj == reference.conj
+    assert [g._ints for g in group] == [RotationElement._new(g.m)._ints for g in group]
+
+
+@st.composite
+def preset_subsets(draw):
+    """Generators drawn from one preset, in any copy, now and then with an
+    element of another preset (octahedral and icosahedral elements together
+    generate an infinite group)."""
+    group = preset_group(draw(st.sampled_from(PRESETS)))
+    gens = draw(st.lists(st.sampled_from(group.elements), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        gens.append(draw(st.sampled_from(TAGGED)))
+    return [COPIES[draw(st.sampled_from(sorted(COPIES)))](g) for g in gens]
+
+
+def _closure(close, gens):
+    """close(gens), or its ValueError message."""
+    try:
+        return close(gens, "custom")
+    except ValueError as exc:
+        return str(exc)
+
+
+FIXED_COSTS = """
+from linkrep.field import AxisLine
+from linkrep.rotation import RotationElement, _cube_perms, preset_group
+
+counts = {"sort_key": 0, "AxisLine": 0}
+
+def counted(key, fn):
+    def wrapper(*args):
+        counts[key] += 1
+        return fn(*args)
+    return wrapper
+
+RotationElement.sort_key = counted("sort_key", RotationElement.sort_key)
+preset_group("octahedral")
+AxisLine.__init__ = counted("AxisLine", AxisLine.__init__)
+_cube_perms()
+axis_lines = counts["AxisLine"]
+preset_group("tetrahedral")
+preset_group("icosahedral")
+print(counts["sort_key"], axis_lines)
+"""
+
+
+class TestIntClosure:
+    """Closure, lookups and the cube dictionary on int forms, against the
+    Matrix3 / sort_key / AxisLine readings they replaced
+    (tests/closure_reference.py)."""
+
+    def test_presets_match_the_reference_closure(self, monkeypatch):
+        import linkrep.rotation
+
+        builders = (tetrahedral_group, octahedral_group, icosahedral_group)
+        built = [b.__wrapped__() for b in builders]  # fresh, past the caches
+        monkeypatch.setattr(linkrep.rotation, "_close", reference_close)
+        for b, group in zip(builders, built):
+            assert_same_group(group, b.__wrapped__())
+            assert_same_group(preset_group(group.name), group)
+
+    @settings(max_examples=80, deadline=None)
+    @given(preset_subsets())
+    def test_generated_groups_match_the_reference_closure(self, gens):
+        import linkrep.rotation
+
+        group = _closure(linkrep.rotation._close, gens)
+        reference = _closure(reference_close, gens)
+        if isinstance(reference, str):
+            assert group == reference
+        else:
+            assert_same_group(group, reference)
+
+    def test_index_of_matches_the_sort_key_lookup(self):
+        found = set()
+        for name in PRESETS:
+            group = preset_group(name)
+            reference = reference_close(group.elements, name)
+            for g in TAGGED:
+                for copy_ in COPIES.values():
+                    h = copy_(g)
+                    i = group.index_of(h)
+                    assert i == reference_index_of(reference, h)
+                    assert (h in group) is (i is not None)
+                    found.add(i is None)
+        assert found == {True, False}
+
+    def test_cube_perms_match_the_axis_line_reading(self):
+        assert _cube_perms() == reference_cube_perms()
+        assert sorted(p.images for p in _cube_perms()) == sorted(p.images for p in ALL_S4)
+
+    def test_fixed_costs_in_a_fresh_process(self):
+        # a fresh process builds the presets and the cube dictionary cold:
+        # the closure reads no sort_key, the dictionary builds no AxisLine
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", FIXED_COSTS],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.split() == ["0", "0"]
 
 
 # candidate matrices for validation: special orthogonal ones with irrational
