@@ -2,10 +2,14 @@
 
 Every quantity in the package bottoms out here.  A scalar is three ints
 (p, q, d) in lowest terms standing for (p + q*sqrt(5)) / d; equality, ordering
-and all field operations are decidable and exact, and a 3x3 matrix product
-runs on these ints without building intermediate scalars.  Scalar text is
-read and printed on the same ints: parse_scalar puts the two parts over one
+and all field operations are decidable and exact.  Scalar text is read and
+printed on the same ints: parse_scalar puts the two parts over one
 denominator and reduces once, format_scalar reduces each part by a gcd.
+
+A 3x3 matrix is one int form, n and the rows of n*M over Z[sqrt(5)] for n
+the lcm of its denominators.  Products (one kernel, _form_mul, which
+rotation's group closure shares), transpose, det, == and hash run on the
+form, and format_matrix prints its entries without building scalars.
 
 A vector scaled by the positive lcm of its denominators has coordinates in
 Z[sqrt(5)], each an int pair (p, q).  Dot, cross and triple products of such
@@ -38,6 +42,8 @@ class ExactScalar:
     __slots__ = ("p", "q", "d")
 
     def __init__(self, a: RationalLike, b: RationalLike):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("a Q(sqrt(5)) part must be exact, not a float")
         a, b = Fraction(a), Fraction(b)
         # with reduced a and b, the lcm of their denominators leaves
         # gcd(p, q, d) = 1
@@ -216,12 +222,23 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
-def format_scalar(x: ExactScalar) -> str:
-    """Canonical textual form; parse(format(x)) == x."""
-    p, q, d = x.p, x.q, x.d
+def _format_parts(p: int, q: int, d: int) -> str:
+    """(p + q*sqrt(5)) / d in canonical text, for d > 0 and any common
+    factor: each part is reduced by its own gcd."""
     if q == 0:
         return _ratio_str(p, d)
     return f"{_ratio_str(p, d)}{'+' if q > 0 else '-'}{_ratio_str(abs(q), d)}*r5"
+
+
+def format_scalar(x: ExactScalar) -> str:
+    """Canonical textual form; parse(format(x)) == x."""
+    return _format_parts(x.p, x.q, x.d)
+
+
+def format_matrix(m: "Matrix3") -> tuple:
+    """The nine entries of m, row-major, as format_scalar prints them."""
+    n, rows = m.form
+    return tuple(_format_parts(r[k], r[k + 1], n) for r in rows for k in (0, 2, 4))
 
 
 class Vector3(Value):
@@ -269,21 +286,27 @@ _set_x, _set_y, _set_z = slot_setters(Vector3)
 
 
 class Matrix3(Value):
-    """Row-major 3x3 matrix over Q(sqrt(5))."""
+    """Row-major 3x3 matrix over Q(sqrt(5)), held as one canonical form: n > 0,
+    the lcm of the denominators, and the rows of n*M as int 6-tuples
+    (p0, q0, p1, q1, p2, q2), entry k being (pk + qk*sqrt(5)) / n.  Equal
+    matrices have equal forms; rows rebuilds the ExactScalar entries."""
 
-    __slots__ = __match_args__ = ("rows",)
+    __slots__ = ("form",)
+    __match_args__ = ("rows",)
 
     def __init__(self, rows: tuple) -> None:
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("Matrix3 requires 3x3 entries")
-        _set_rows(self, rows)
+        n = lcm(*(e.d for row in rows for e in row))
+        ints = [tuple(x for e in row for x in (e.p * (n // e.d), e.q * (n // e.d))) for row in rows]
+        _set_form(self, (n, tuple(ints)))
 
     @staticmethod
-    def _new(rows: tuple) -> "Matrix3":
-        # internal fast path: rows already a well-shaped tuple of tuples
+    def _new(form: tuple) -> "Matrix3":
+        # internal fast path: form already canonical
         m = object.__new__(Matrix3)
-        _set_rows(m, rows)
+        _set_form(m, form)
         return m
 
     @staticmethod
@@ -296,78 +319,63 @@ class Matrix3(Value):
     def identity() -> "Matrix3":
         return _IDENTITY
 
+    @property
+    def rows(self) -> tuple:
+        n, rows = self.form
+        return tuple(tuple(_reduced(r[k], r[k + 1], n) for k in (0, 2, 4)) for r in rows)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Matrix3:
+            return NotImplemented
+        return self.form == other.form
+
+    def __hash__(self) -> int:
+        return hash(self.form)
+
+    def __reduce__(self):
+        return (Matrix3._new, (self.form,))
+
     def __mul__(self, other: "Matrix3") -> "Matrix3":
-        """Integer kernel: each entry accumulates its three products over a
-        common denominator, skipping zero factors, and is reduced once."""
-        cols = tuple(zip(*other.rows))
-        rows = []
-        for row in self.rows:
-            out = []
-            for col in cols:
-                num_p = num_q = 0
-                den = 1
-                for x, y in zip(row, col):
-                    p, q, r, s = x.p, x.q, y.p, y.q
-                    if not (p or q) or not (r or s):
-                        continue
-                    tp = p * r + 5 * q * s
-                    tq = p * s + q * r
-                    td = x.d * y.d
-                    if td == den:
-                        num_p += tp
-                        num_q += tq
-                    elif den % td == 0:
-                        k = den // td
-                        num_p += tp * k
-                        num_q += tq * k
-                    else:
-                        num_p = num_p * td + tp * den
-                        num_q = num_q * td + tq * den
-                        den *= td
-                out.append(_reduced(num_p, num_q, den))
-            rows.append(tuple(out))
-        return Matrix3._new(tuple(rows))
-
-    def __add__(self, other: "Matrix3") -> "Matrix3":
-        return Matrix3._new(
-            tuple(
-                tuple(self.rows[i][j] + other.rows[i][j] for j in range(3))
-                for i in range(3)
-            )
-        )
-
-    def scale(self, k: ExactScalar) -> "Matrix3":
-        return Matrix3._new(tuple(tuple(e * k for e in row) for row in self.rows))
+        return Matrix3._new(_form_mul(self.form, other.form))
 
     def transpose(self) -> "Matrix3":
-        return Matrix3._new(
-            tuple(tuple(self.rows[j][i] for j in range(3)) for i in range(3))
-        )
+        n, rows = self.form
+        return Matrix3._new((n, _columns(rows)))
 
     def det(self) -> ExactScalar:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        """det(n*M) / n^3, the triple product of the rows of n*M."""
+        n, rows = self.form
+        p, q = _int_triple(*rows)
+        return _reduced(p, q, n * n * n)
 
     def apply(self, v: Vector3) -> Vector3:
-        r = self.rows
-        return Vector3(
-            r[0][0] * v.x + r[0][1] * v.y + r[0][2] * v.z,
-            r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
-            r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
-        )
+        """M v = (n*M)(L v) / (n L), for L the lcm of v's denominators."""
+        n, rows = self.form
+        w = _int_coords(v)
+        d = n * lcm(v.x.d, v.y.d, v.z.d)
+        return Vector3(*(_reduced(*_int_dot(r, w), d) for r in rows))
 
 
-(_set_rows,) = slot_setters(Matrix3)
-_IDENTITY = Matrix3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+(_set_form,) = slot_setters(Matrix3)
+_IDENTITY = Matrix3._new((1, ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0))))
 
 
-def outer(u: Vector3, v: Vector3) -> Matrix3:
-    uu, vv = u.components(), v.components()
-    return Matrix3(tuple(tuple(uu[i] * vv[j] for j in range(3)) for i in range(3)))
+def _columns(rows: tuple) -> tuple:
+    """The columns of a form's rows, as rows: the int rows of the transpose."""
+    (a0, b0, a1, b1, a2, b2), (c0, e0, c1, e1, c2, e2), (f0, h0, f1, h1, f2, h2) = rows
+    return (a0, b0, c0, e0, f0, h0), (a1, b1, c1, e1, f1, h1), (a2, b2, c2, e2, f2, h2)
+
+
+def _form_mul(x: tuple, y: tuple) -> tuple:
+    """The form of a product, from the forms (n, R) and (m, S) of its
+    factors: n*m and the row-by-column dots of R and S, divided by their gcd."""
+    (n, rows), (m, other) = x, y
+    cols = _columns(other)
+    flat = [v for row in rows for col in cols for v in _int_dot(row, col)]
+    d = gcd(n * m, *flat)
+    if d != 1:
+        flat = [v // d for v in flat]
+    return n * m // d, (tuple(flat[:6]), tuple(flat[6:12]), tuple(flat[12:]))
 
 
 def _canonicalize_direction(v: Vector3) -> Vector3:

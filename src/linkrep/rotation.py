@@ -1,19 +1,20 @@
 """Finite subgroups of SO(3) as exact matrices.
 
 Provides the rotation element type, conjugation, involution and axis
-extraction, the dictionary between S4 (permuting the four cube diagonals) and
-the 24 cube rotations, and finite groups closed from generators.  An
-element's int form is n with the rows of n*M (n the lcm of its
-denominators), canonical, so equal matrices have equal forms.  A matrix is
-validated once, on its form; a group is closed and keyed on forms, and the
-cube dictionary reads the diagonal images on them.  A finite group is its
-Cayley table, built and validated when the group is.  The elements a group
-owns know their index in it, so products, inverses, equality and lookups
-among them are table reads: two elements of one group are equal iff their
-indices are.  The group also holds the facts about
-single elements that searches and reports ask for repeatedly (the
-conjugation table, each involution's axis, each element's output form), each
-built in one pass on first use, so at most once per index.
+extraction, the dictionary between S4 (permuting the four cube diagonals)
+and the 24 cube rotations, and finite groups closed from generators.  An
+element's matrix is one int form (field.Matrix3): n with the rows of n*M,
+for n the lcm of its denominators, so equal matrices have equal forms.  A
+matrix is validated once, on its form; a group is closed with Matrix3's
+product kernel and keyed on forms, and the cube dictionary reads the
+diagonal images on them.  A finite group is its Cayley table, built and
+validated when the group is.  The elements a group owns know their index in
+it, so products, inverses, equality and lookups among them are table reads:
+two elements of one group are equal iff their indices are.  The group also
+holds the facts about single elements that searches and reports ask for
+repeatedly (the conjugation table, each involution's axis, each element's
+output form), each built in one pass on first use, so at most once per
+index.
 
 Composition convention, used everywhere in the package: (g * h) applies h
 first, then g.  Permutation composition follows the same convention.
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import re
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 from ._value import Value, slot_setters
-from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_scalar, outer
-from .field import _int_dot, _int_triple, _reduced
+from .field import AxisLine, ExactScalar, Matrix3, Vector3, format_matrix
+from .field import _form_mul, _int_dot, _int_triple
 
 
 class RotationElement(Value):
@@ -43,7 +44,7 @@ class RotationElement(Value):
     answer.
     """
 
-    __slots__ = ("m", "__dict__")  # the dict holds _ints and the group tags
+    __slots__ = ("m", "__dict__")  # the dict holds the group tags
     __match_args__ = ("m",)
 
     _group = None  # the owning FiniteRotationGroup, set by _close
@@ -52,23 +53,13 @@ class RotationElement(Value):
     def __init__(self, m: Matrix3) -> None:
         _set_m(self, m)
         # R = n*M: M^T M = I iff R R^T = n^2 I, and then det M = 1 iff det R = n^3
-        n, (r, s, t) = self._ints
+        n, (r, s, t) = m.form
         diagonal = (_int_dot(r, r), _int_dot(s, s), _int_dot(t, t))
         off_diagonal = (_int_dot(r, s), _int_dot(r, t), _int_dot(s, t))
         if diagonal != ((n * n, 0),) * 3 or off_diagonal != ((0, 0),) * 3:
             raise ValueError("matrix is not orthogonal")
         if _int_triple(r, s, t) != (n * n * n, 0):
             raise ValueError("matrix has determinant != 1")
-
-    @cached_property
-    def _ints(self) -> tuple:
-        """n, the lcm of the nine denominators, and the rows of n*M as int 6-tuples."""
-        rows = self.m.rows
-        n = lcm(*(e.d for row in rows for e in row))
-        return n, tuple(
-            tuple(x for e in row for x in (e.p * (n // e.d), e.q * (n // e.d)))
-            for row in rows
-        )
 
     @staticmethod
     def _new(m: Matrix3) -> "RotationElement":
@@ -146,11 +137,11 @@ def conjugate(g: RotationElement, h: RotationElement) -> RotationElement:
 def is_involution(g: RotationElement) -> bool:
     """True iff g is a rotation by pi: trace 1 + 2 cos(theta) = -1.
     (Equivalent to g != I and g*g = I; tests pin the equivalence.)  An
-    element a group owns is looked up in its group, any other in its ints."""
+    element a group owns is looked up in its group, any other on its form."""
     t = g._group
     if t is not None:
         return g._index in t.involutions
-    n, (r0, r1, r2) = g._ints
+    n, (r0, r1, r2) = g.m.form
     return r0[0] + r1[2] + r2[4] == -n and r0[1] + r1[3] + r2[5] == 0
 
 
@@ -171,7 +162,7 @@ def _axis(g: RotationElement) -> AxisLine:
 
 def _int_axis(g: RotationElement) -> tuple:
     """The axis of the pi-rotation g in int coordinates: a column of n*(M + I)."""
-    n, rows = g._ints
+    n, rows = g.m.form
     for k in (0, 2, 4):
         col = [x for row in rows for x in row[k : k + 2]]
         col[k] += n
@@ -182,11 +173,12 @@ def _int_axis(g: RotationElement) -> tuple:
 
 def from_axis_pi(axis: AxisLine) -> RotationElement:
     """The rotation by pi about the given axis: (2/(v.v)) v v^T - I."""
-    v = axis.direction
-    norm = v.dot(v)
-    scale = ExactScalar.of(2) * norm.inverse()
-    m = outer(v, v).scale(scale) + Matrix3.identity().scale(ExactScalar.of(-1))
-    return RotationElement(m)
+    v = axis.direction.components()
+    k = ExactScalar.of(2) / axis.direction.dot(axis.direction)
+    entries = [[k * x * y for y in v] for x in v]
+    for i in range(3):
+        entries[i][i] -= ExactScalar.of(1)
+    return RotationElement(Matrix3(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +276,7 @@ def _diagonal_action(g: RotationElement) -> CubePermutation:
     """The permutation of the four diagonal lines induced by a cube rotation
     g.  g is rational, so the rational parts of the rows of its form n*M
     take each diagonal d to +-n*d' (KeyError if d' is no diagonal)."""
-    n, rows = g._ints
+    n, rows = g.m.form
     return CubePermutation(
         tuple(
             _DIAGONAL_NUMBER[tuple((r[0] * x + r[2] * y + r[4] * z) // n for r in rows)]
@@ -330,7 +322,7 @@ def _output_form(g: RotationElement) -> tuple:
     perm = rotation_to_perm(g)
     if perm is not None:
         return ("perm", perm.cycle_str())
-    return ("matrix", tuple(format_scalar(e) for row in g.m.rows for e in row))
+    return ("matrix", format_matrix(g.m))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +359,7 @@ class FiniteRotationGroup:
         they are closed under product (so a group is never empty)."""
         group = _close(elements, name)
         # the closure holds the identity and every given element
-        if len(group) != len({g._ints for g in elements}):
+        if len(group) != len({g.m.form for g in elements}):
             raise ValueError("group elements are not their own closure")
         return group
 
@@ -393,7 +385,7 @@ class FiniteRotationGroup:
         own index when this group owns it, a lookup of its int form otherwise."""
         if g._group is self:
             return g._index
-        return self._by_ints.get(g._ints)
+        return self._by_form.get(g.m.form)
 
     @cached_property
     def conj(self) -> tuple:
@@ -416,31 +408,23 @@ class FiniteRotationGroup:
 def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
     """The group generated by gens, closed under right multiplication by them.
 
-    The closure runs on int forms (n, rows of n*M): a product is n*m and
-    the row-by-column dots of the two forms, all divided by their gcd, which
-    leaves the product's own form.  That costs |G| * len(gens)
-    products.  Each new element is reached as parent * gens[k]; the rest of
+    The closure runs on int forms (n, rows of n*M) with Matrix3's product
+    kernel, _form_mul, so it costs |G| * len(gens) products and builds no
+    scalar.  Each new element is reached as parent * gens[k]; the rest of
     the table follows by index from these words, since
     x * (parent * g_k) = (x * parent) * g_k.  The forms are sorted once, by
     the ints x*(L/n) for L the lcm of every n, which is sort_key order.  The
-    group owns one fresh element per form, with its form and index set.
+    group owns one fresh element per form, with its index set.
     """
-    found = [_IDENTITY._ints]
+    found = [_IDENTITY.m.form]
     where = {found[0]: 0}
     word = [None]  # (parent, k) per element; the identity has none
     right = []  # right[i][k] = index of found[i] * gens[k]
-    gen_cols = [
-        (m, tuple(tuple(x for row in rows for x in row[k : k + 2]) for k in (0, 2, 4)))
-        for m, rows in (g._ints for g in gens)
-    ]
-    for i, (n, rows) in enumerate(found):  # found grows while it is walked
+    gen_forms = [g.m.form for g in gens]
+    for i, x in enumerate(found):  # found grows while it is walked
         right.append([])
-        for k, (m, cols) in enumerate(gen_cols):
-            flat = [x for row in rows for col in cols for x in _int_dot(row, col)]
-            d = gcd(n * m, *flat)
-            if d != 1:
-                flat = [x // d for x in flat]
-            y = (n * m // d, (tuple(flat[:6]), tuple(flat[6:12]), tuple(flat[12:])))
+        for k, y in enumerate(gen_forms):
+            y = _form_mul(x, y)
             j = where.setdefault(y, len(found))
             if j == len(found):
                 if j >= GROUP_SIZE_LIMIT:
@@ -465,15 +449,13 @@ def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
     group = object.__new__(FiniteRotationGroup)
     elements = []
     for i, j in enumerate(order):
-        den, rows = found[j]
-        entries = tuple(tuple(_reduced(r[k], r[k + 1], den) for k in (0, 2, 4)) for r in rows)
-        g = RotationElement._new(Matrix3._new(entries))
-        g.__dict__.update(_ints=found[j], _group=group, _index=i)
+        g = RotationElement._new(Matrix3._new(found[j]))
+        g.__dict__.update(_group=group, _index=i)
         elements.append(g)
     group.__dict__.update(
         elements=tuple(elements),
         name=name,
-        _by_ints={form: rank[j] for form, j in where.items()},
+        _by_form={form: rank[j] for form, j in where.items()},
         mul=tuple(mul),
         inv=tuple(row.index(e) for row in mul),
         identity=e,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ._value import Value, slot_setters
 from .conditions import Decoration
 from .diagram import ArcBand, CircleRef, SingularLinkDiagram
-from .field import Matrix3, format_scalar, parse_scalar
+from .field import Matrix3, format_matrix, parse_scalar
 from .rotation import (
     CubePermutation,
     RotationElement,
@@ -213,9 +213,8 @@ def _parse_decorate(tokens: List[str], lineno: int) -> DecorateStmt:
     if kind == "matrix":
         if len(tokens) != 13:
             raise SldParseError(lineno, "matrix decoration takes nine scalars")
-        entries = tuple([parse_scalar(t) for t in tokens[4:13]])
-        rows = (entries[0:3], entries[3:6], entries[6:9])
-        element = RotationElement(Matrix3._new(rows))
+        entries = [parse_scalar(t) for t in tokens[4:13]]
+        element = RotationElement(Matrix3((entries[0:3], entries[3:6], entries[6:9])))
         return DecorateStmt(node=node, element=element, perm=None)
     raise SldParseError(lineno, f"unknown element kind {kind!r}")
 
@@ -323,9 +322,7 @@ def _format_statement(s: Statement) -> str:
     if isinstance(s, DecorateStmt):
         if s.perm is not None:
             return f'decorate {s.node} = perm "{s.perm.cycle_str()}"'
-        scalars = " ".join(
-            format_scalar(e) for row in s.element.m.rows for e in row
-        )
+        scalars = " ".join(format_matrix(s.element.m))
         return f"decorate {s.node} = matrix {scalars}"
     raise TypeError(f"unknown statement {s!r}")
 

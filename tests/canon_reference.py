@@ -1,18 +1,17 @@
 """Reference reading of linkrep.search.canonical_class, for differential
 tests: the key as it was computed before the integer kernel.  Each axis is
 read from the matrix (tests/matrix_reference.py), the Gram entries and cos^2
-are ExactScalar arithmetic, every triple sign is the sign of a Matrix3
-determinant, one matrix per triple, and the least sign pattern is the
+are ExactScalar arithmetic, every triple sign is the sign of a cofactor
+determinant there, one matrix per triple, and the least sign pattern is the
 greedy over every entry, with no closed form after full rank."""
 
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
-from linkrep.field import Matrix3
 from linkrep.rotation import RotationElement
 from linkrep.search import ConjugacyClassKey
 
-from matrix_reference import reference_axis, reference_is_involution
+from matrix_reference import det, reference_axis, reference_is_involution
 
 
 def reference_least_flip_pattern(entries: Sequence[Tuple[int, int]]) -> tuple:
@@ -53,7 +52,7 @@ def reference_canonical_class(elements: Sequence[RotationElement]) -> ConjugacyC
     signs = reference_least_flip_pattern(
         [(1 << i | 1 << j, gram[i][j].sign()) for i, j in pairs]
         + [
-            (1 << i | 1 << j | 1 << k, Matrix3((comps[i], comps[j], comps[k])).det().sign())
+            (1 << i | 1 << j | 1 << k, det((comps[i], comps[j], comps[k])).sign())
             for i, j, k in triples
         ]
     )

@@ -1,6 +1,7 @@
 """Reference readings of group closure and of the cube dictionary on
-Matrix3 / ExactScalar arithmetic, for differential tests: linkrep.rotation
-computed them this way before it closed groups on integer forms."""
+ExactScalar matrix arithmetic (tests/matrix_reference.py), for differential
+tests: linkrep.rotation computed them this way before it closed groups on
+integer forms."""
 
 from linkrep.field import AxisLine, Matrix3, Vector3
 from linkrep.rotation import (
@@ -10,6 +11,8 @@ from linkrep.rotation import (
     RotationElement,
     octahedral_group,
 )
+
+import matrix_reference as ref
 
 
 def reference_close(gens, name: str = "custom") -> FiniteRotationGroup:
@@ -23,7 +26,7 @@ def reference_close(gens, name: str = "custom") -> FiniteRotationGroup:
     for i, x in enumerate(found):  # found grows while it is walked
         right.append([])
         for k, g in enumerate(gens):
-            y = x * g
+            y = RotationElement._new(Matrix3(ref.mul(x.m.rows, g.m.rows)))
             j = where.setdefault(y.sort_key(), len(found))
             if j == len(found):
                 if j >= GROUP_SIZE_LIMIT:
@@ -74,7 +77,7 @@ def reference_diagonal_action(g: RotationElement) -> CubePermutation:
     g, read on AxisLines (ValueError if g moves a diagonal off the diagonals)."""
     return CubePermutation(
         tuple(
-            DIAGONAL_LINES.index(AxisLine(g.apply(line.direction))) + 1
+            DIAGONAL_LINES.index(AxisLine(ref.apply(g.m.rows, line.direction))) + 1
             for line in DIAGONAL_LINES
         )
     )

@@ -23,6 +23,8 @@ from linkrep.field import (
 from linkrep.rotation import RotationElement, icosahedral_group, octahedral_group
 from linkrep.sldfile import SldParseError, parse
 
+import matrix_reference as ref
+
 rationals = st.fractions(
     max_denominator=12,
     min_value=Fraction(-20),
@@ -101,6 +103,16 @@ class TestScalarOps:
     def test_golden_ratio_minimal_polynomial(self):
         phi = ExactScalar.golden_ratio()
         assert phi * phi == phi + q(1)
+
+    def test_floats_are_rejected(self):
+        # a float is no exact value: 0.1 would read as 3602879701896397/2**55,
+        # and a float matrix would fail as "not orthogonal"
+        with pytest.raises(TypeError, match="float"):
+            ExactScalar.of(0.1)
+        with pytest.raises(TypeError, match="float"):
+            ExactScalar(Fraction(1, 2), 0.5)
+        with pytest.raises(TypeError, match="float"):
+            RotationElement.of([[0.6, -0.8, 0], [0.8, 0.6, 0], [0, 0, 1]])
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -421,7 +433,7 @@ class TestPredicates:
     def test_triple_product_matches_the_determinant(self, u, v, a, b, dependent):
         # half the draws put w in the plane of u and v
         w = u.scale(a) + v.scale(b) if dependent else Vector3(a, b, a * b)
-        det = Matrix3((u.components(), v.components(), w.components())).det()
+        det = ref.det((u.components(), v.components(), w.components()))
         ints = [linkrep.field._int_coords(x) for x in (u, v, w)]
         assert linkrep.field._sign(*linkrep.field._int_triple(*ints)) == det.sign()
         if not any(x.is_zero() for x in (u, v, w)):

@@ -35,6 +35,7 @@ import linkrep.field
 
 from closure_reference import reference_close, reference_cube_perms, reference_index_of
 from conftest import involution_elements
+import matrix_reference as ref
 from matrix_reference import reference_axis, reference_check, reference_is_involution
 
 PRESETS = ("tetrahedral", "octahedral", "icosahedral")
@@ -279,21 +280,23 @@ class TestGroupTable:
     def test_cold_icosahedral_build_multiplies_each_element_by_each_generator(
         self, monkeypatch
     ):
+        import linkrep.rotation
+
         calls = []
-        original = RotationElement.__mul__
+        original = linkrep.rotation._form_mul
 
-        def counting(self, other):
+        def counting(x, y):
             calls.append(1)
-            return original(self, other)
+            return original(x, y)
 
-        monkeypatch.setattr(RotationElement, "__mul__", counting)
+        monkeypatch.setattr(linkrep.rotation, "_form_mul", counting)
         icosahedral_group.cache_clear()
         try:
             icosahedral_group()
         finally:
             icosahedral_group.cache_clear()
-        # |G| * (number of generators); no |G|^2 products
-        assert len(calls) <= 60 * 3
+        # |G| * (number of generators) products of forms; no |G|^2 products
+        assert len(calls) == 60 * 3
 
     def test_elements_that_are_not_the_closure_are_rejected(self):
         # rejected when the group is built, not on first use
@@ -435,9 +438,8 @@ class TestPerIndexFacts:
             t = preset_group(name)
             for c, x in enumerate(t.elements):
                 for g, y in enumerate(t.elements):
-                    assert t.elements[t.conj[c][g]] == RotationElement(
-                        (x.m * y.m) * x.m.transpose()
-                    )
+                    conjugated = ref.mul(ref.mul(x.m.rows, y.m.rows), ref.transpose(x.m.rows))
+                    assert t.elements[t.conj[c][g]] == RotationElement(Matrix3(conjugated))
 
     def test_axes_equal_the_matrix_computation(self):
         for name in PRESETS:
@@ -472,13 +474,13 @@ class TestPerIndexFacts:
 
 def assert_same_group(group: FiniteRotationGroup, reference: FiniteRotationGroup) -> None:
     """The same elements (as matrices) in the same order, the same tables and
-    per-index facts, and each element's int form the one its matrix gives."""
+    per-index facts, and each element's form the one its entries give."""
     assert [g.m for g in group] == [g.m for g in reference]
     assert group.mul == reference.mul and group.inv == reference.inv
     assert group.identity == reference.identity
     assert group.involutions == reference.involutions
     assert group.conj == reference.conj
-    assert [g._ints for g in group] == [RotationElement._new(g.m)._ints for g in group]
+    assert [g.m.form for g in group] == [Matrix3(g.m.rows).form for g in group]
 
 
 @st.composite
@@ -612,6 +614,11 @@ def _plane_rotation(triple: tuple, axis: int) -> Matrix3:
     return Matrix3.of(rows)
 
 
+def _product(a: Matrix3, b: Matrix3) -> Matrix3:
+    """a * b on the reference arithmetic, not on the kernel under test."""
+    return Matrix3(ref.mul(a.rows, b.rows))
+
+
 icosahedral_signed = st.builds(
     _signed,
     st.sampled_from(icosahedral_group().elements).map(lambda g: g.m),
@@ -633,8 +640,8 @@ half_turns = (
 )
 rotation_matrices = st.one_of(
     icosahedral_signed,
-    st.builds(Matrix3.__mul__, pythagorean, pythagorean),
-    st.builds(Matrix3.__mul__, icosahedral_signed, pythagorean),
+    st.builds(_product, pythagorean, pythagorean),
+    st.builds(_product, icosahedral_signed, pythagorean),
     half_turns,
 )
 
@@ -644,7 +651,7 @@ def candidate_matrices(draw):
     m = draw(rotation_matrices)
     variant = draw(st.sampled_from(("as drawn", "negated", "perturbed")))
     if variant == "negated":
-        return m.scale(ExactScalar.of(-1))
+        return Matrix3(ref.scale(m.rows, ExactScalar.of(-1)))
     if variant == "perturbed":
         k = draw(st.integers(0, 8))
         delta = draw(half_turn_scalars.filter(lambda x: not x.is_zero()))
@@ -686,13 +693,13 @@ class TestMatrixValidation:
         for triple in PYTHAGOREAN:
             for axis in range(3):
                 RotationElement(_plane_rotation(triple, axis))
-        m = _plane_rotation((3, 4, 5), 2) * _plane_rotation((5, 12, 13), 0)
+        m = _product(_plane_rotation((3, 4, 5), 2), _plane_rotation((5, 12, 13), 0))
         assert RotationElement(m).m == m
 
     def test_negated_rotations_have_determinant_minus_one(self):
         for g in icosahedral_group():
             with pytest.raises(ValueError, match="^matrix has determinant != 1$"):
-                RotationElement(g.m.scale(ExactScalar.of(-1)))
+                RotationElement(Matrix3(ref.scale(g.m.rows, ExactScalar.of(-1))))
 
     def test_one_perturbed_entry_is_not_orthogonal(self):
         g = icosahedral_group().elements[7]
@@ -714,12 +721,12 @@ class TestMatrixValidation:
         # 2I fails both checks; -2I fails both with a negative determinant
         for k in (2, -2):
             with pytest.raises(ValueError, match="^matrix is not orthogonal$"):
-                RotationElement(Matrix3.identity().scale(ExactScalar.of(k)))
+                RotationElement(Matrix3(ref.scale(ref.IDENTITY, ExactScalar.of(k))))
 
     def test_validation_builds_no_matrix_and_no_scalar(self, monkeypatch):
         ms = [g.m for g in icosahedral_group()] + [_plane_rotation((20, 21, 29), 1)]
         built = []
-        for name in ("__mul__", "__add__", "transpose", "det"):
+        for name in ("__mul__", "transpose", "det"):
             real = getattr(Matrix3, name)
             monkeypatch.setattr(
                 Matrix3, name, lambda *a, real=real: built.append(1) or real(*a)
@@ -734,15 +741,47 @@ class TestMatrixValidation:
         )
         for m in ms:
             g = RotationElement(m)
-            ints = g._ints
             if is_involution(g):
                 _int_axis(g)
-            assert g._ints is ints  # built once, then reused
+            assert g.m is m  # the element keeps the matrix, and so its form
         assert built == []
 
-    def test_int_form_is_not_pickled(self):
+    def test_int_form_survives_pickling(self):
         g = RotationElement(_plane_rotation((3, 4, 5), 0))
-        ints = g._ints
         for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
-            assert h == g and "_ints" not in h.__dict__
-            assert h._ints == ints
+            assert h == g and h.__dict__ == {}
+            assert h.m.form == g.m.form
+
+
+matrices = st.one_of(pythagorean, icosahedral_signed, candidate_matrices())
+vectors = st.builds(Vector3, half_turn_scalars, half_turn_scalars, half_turn_scalars)
+
+
+class TestMatrixForm:
+    """Matrix3's form arithmetic against the ExactScalar reference
+    (tests/matrix_reference.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices, matrices, st.booleans(), vectors)
+    def test_form_arithmetic_matches_the_reference(self, a, b, same, v):
+        if same:
+            b = Matrix3(a.rows)
+        ra, rb = a.rows, b.rows
+        assert Matrix3(ra) == a
+        assert (a * b).rows == ref.mul(ra, rb)
+        assert a.transpose().rows == ref.transpose(ra)
+        assert a.det() == ref.det(ra)
+        assert a.apply(v) == ref.apply(ra, v)
+        assert (a == b) is (ra == rb) and (a != b) is (ra != rb)
+        if ra == rb:
+            assert hash(a) == hash(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vectors.filter(lambda v: not v.is_zero()))
+    def test_half_turns_match_the_outer_product(self, v):
+        # (2/(v.v)) v v^T - I, for any scaling of the axis
+        two_over_norm = ExactScalar.of(2) / v.dot(v)
+        want = ref.add(
+            ref.scale(ref.outer(v, v), two_over_norm), ref.scale(ref.IDENTITY, ExactScalar.of(-1))
+        )
+        assert from_axis_pi(AxisLine(v)).m.rows == want

@@ -34,6 +34,7 @@ from linkrep.search import (
     verify_onepoint_geometry,
 )
 
+import matrix_reference as ref
 from canon_reference import reference_canonical_class, reference_least_flip_pattern
 from conftest import (
     hopf_ring,
@@ -229,7 +230,7 @@ def brute_force_signs(elements):
     triples = list(combinations(range(n), 3))
     gram = [[axes[i].dot(axes[j]).sign() for j in range(n)] for i in range(n)]
     dets = {
-        t: Matrix3(tuple(axes[x].components() for x in t)).det().sign()
+        t: ref.det(tuple(axes[x].components() for x in t)).sign()
         for t in triples
     }
     return min(

@@ -59,7 +59,7 @@ SAMPLES = {
     field.Matrix3: (
         lambda: Matrix3.of([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),
         lambda: Matrix3.of([[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
-        ("rows",),
+        None,
     ),
     field.AxisLine: (
         lambda: field.AxisLine(
