@@ -12,7 +12,6 @@ is the printed report.  Diagnostics go to stderr as JSON; exit codes:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -118,7 +117,7 @@ def _fail(message: str, code: int) -> int:
 def _element_json(group: FiniteRotationGroup, g: RotationElement) -> Dict:
     """A fresh dict, {"perm": cycles} or {"matrix": [nine entries]}, built
     from the form the group computed once for g."""
-    kind, value = group.forms[group.index_of(g)]
+    kind, value = group.form(group.index_of(g))
     return {kind: list(value) if kind == "matrix" else value}
 
 
@@ -171,7 +170,13 @@ def _obstruction_json(rep: ObstructionReport) -> Dict:
 
 
 def _load_document(path: str) -> SldDocument:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, counted as parse counts lines
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise SldParseError(line, "not valid UTF-8") from None
     return parse(text)
 
 
@@ -234,9 +239,25 @@ def cmd_check(args) -> int:
     return 0 if checks.passed else 1
 
 
+@lru_cache(maxsize=1)
+def _source_digest() -> str:
+    """sha256 of the package's own sources, in sorted file name order: a
+    cache entry written by other code is a miss."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _options_digest(doc: SldDocument, opts_desc: Dict) -> str:
-    """Cache key: the canonical document, the options and the package version."""
+    """Cache key: the canonical document, the options, the package version
+    and the source digest.  Only a `--cache` search loads hashlib."""
+    import hashlib
+
     payload = serialize(doc) + json.dumps(opts_desc, sort_keys=True) + __version__
+    payload += _source_digest()
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

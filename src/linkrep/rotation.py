@@ -12,9 +12,9 @@ validated when the group is.  The elements a group owns know their index in
 it, so products, inverses, equality and lookups among them are table reads:
 two elements of one group are equal iff their indices are.  The group also
 holds the facts about single elements that searches and reports ask for
-repeatedly (the conjugation table, each involution's axis, each element's
-output form), each built in one pass on first use, so at most once per
-index.
+repeatedly: the conjugation table and each involution's axis, each built
+in one pass on first use, and each element's output form, built the first
+time a report prints that element; so each at most once per index.
 
 Composition convention, used everywhere in the package: (g * h) applies h
 first, then g.  Permutation composition follows the same convention.
@@ -318,7 +318,7 @@ def rot(cycles: str) -> RotationElement:
 def _output_form(g: RotationElement) -> tuple:
     """How reports print g: ("perm", its cycle notation) for a cube
     rotation, else ("matrix", its nine entries in row-major order as exact
-    strings).  Only FiniteRotationGroup.forms calls it."""
+    strings).  Only FiniteRotationGroup.form calls it."""
     perm = rotation_to_perm(g)
     if perm is not None:
         return ("perm", perm.cycle_str())
@@ -345,11 +345,12 @@ class FiniteRotationGroup:
       inv[i]       the index of elements[i]^-1;
       identity     the index of the identity;
       involutions  the indices of the pi-rotations, ascending.
-    Facts about single elements are built in one pass on first use (so at
-    most once per index) and kept as long as the group lives:
+    Facts about single elements are built at most once per index and kept
+    as long as the group lives; the tables in one pass on first use, each
+    form when it is first asked for:
       conj[c][g]   the index of elements[c] * elements[g] * elements[c]^-1;
       axes[i]      the AxisLine of the involution elements[i];
-      forms[i]     how reports print elements[i]: ("perm", cycles) for a
+      form(i)      how reports print elements[i]: ("perm", cycles) for a
                    cube rotation, else ("matrix", nine exact strings).
     A group is immutable and equal only to itself.
     """
@@ -400,9 +401,11 @@ class FiniteRotationGroup:
         """Involution index -> its axis."""
         return MappingProxyType({i: _axis(self.elements[i]) for i in self.involutions})
 
-    @cached_property
-    def forms(self) -> tuple:
-        return tuple(map(_output_form, self.elements))
+    def form(self, i: int) -> tuple:
+        form = self._forms.get(i)
+        if form is None:
+            form = self._forms[i] = _output_form(self.elements[i])
+        return form
 
 
 def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
@@ -460,6 +463,7 @@ def _close(gens: Sequence[RotationElement], name: str) -> FiniteRotationGroup:
         inv=tuple(row.index(e) for row in mul),
         identity=e,
         involutions=tuple(i for i, row in enumerate(mul) if row[i] == e != i),
+        _forms={},  # index -> output form, filled by form
     )
     return group
 

@@ -279,11 +279,41 @@ class TestSearch:
         run(capsys, "search", COMMUTING, "--cache", str(cache))
         assert len(list(cache.glob("*.json"))) == 2
 
+    def test_cache_key_includes_the_source_digest(self, capsys, tmp_path, monkeypatch):
+        # an entry written by other sources is a miss: the second run writes
+        # a second entry, with the same bytes
+        cache = tmp_path / "cache"
+        assert main([*COMMUTING_SEARCH, "--cache", str(cache)]) == 0
+        monkeypatch.setattr(linkrep.cli, "_source_digest", lambda: "0" * 64)
+        assert main([*COMMUTING_SEARCH, "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == COMMUTING_STDOUT * 2
+        entries = sorted(cache.glob("*.json"))
+        assert len(entries) == 2
+        assert [e.read_text(encoding="utf-8") for e in entries] == [COMMUTING_STDOUT] * 2
+
     def test_all_sw_paths_is_not_a_search_option(self, capsys):
         # the search reads only the sw verdict, which the flag cannot change
         with pytest.raises(SystemExit) as exc:
             main(["search", COMMUTING, "--all-sw-paths"])
         assert exc.value.code == 2
+
+    def test_each_printed_element_is_formatted_once(self, capsys, monkeypatch):
+        import linkrep.rotation
+
+        calls = []
+        original = linkrep.rotation._output_form
+        monkeypatch.setattr(
+            linkrep.rotation, "_output_form", lambda g: calls.append(g) or original(g)
+        )
+        icosahedral_group.cache_clear()  # a group that has formatted nothing
+        try:
+            for _ in range(2):  # the second search formats no element again
+                code, out, _ = run(capsys, "search", COMMUTING, "--group", "icosahedral")
+                assert code == 0
+        finally:
+            icosahedral_group.cache_clear()
+        printed = {json.dumps(e) for sol in out["search"]["solutions"] for e in sol.values()}
+        assert len(calls) == len(set(calls)) == len(printed) < 60
 
     def test_solutions_reported_as_perm_or_matrix(self, capsys):
         code, out, err = run(capsys, "search", COMMUTING)
@@ -475,6 +505,27 @@ class TestBundle:
         assert code == 2
 
 
+class TestEncoding:
+    @pytest.mark.parametrize("command", ["check", "search", "canon"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_non_utf8_file_exits_two_naming_its_line(self, capsys, tmp_path, command, newline):
+        # a Latin-1 comment on line 7 of REF-1
+        data = Path(REF1).read_bytes().replace(b"\ncircle Y\n", b"\n# caf\xe9\ncircle Y\n")
+        f = tmp_path / "latin1.sld"
+        f.write_bytes(data.replace(b"\n", newline))
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out, err) == (2, None, {"error": "line 7: not valid UTF-8"})
+
+    @pytest.mark.parametrize(
+        "tail, line", [(b"\xff", 1), (b"circle c\n\xe2\x82", 2), (b"\r\rcircle \xc3(", 3)]
+    )
+    def test_line_of_the_first_bad_byte(self, capsys, tmp_path, tail, line):
+        f = tmp_path / "bad.sld"
+        f.write_bytes(tail)
+        code, out, err = run(capsys, "check", str(f))
+        assert (code, out, err) == (2, None, {"error": f"line {line}: not valid UTF-8"})
+
+
 class TestCanon:
     @pytest.mark.parametrize("command", ["check", "search", "canon"])
     @pytest.mark.parametrize(
@@ -540,3 +591,30 @@ class TestColdImport:
             check=True,
         )
         assert done.stdout.split() == []
+
+    def test_only_a_cached_search_loads_hashlib(self, tmp_path):
+        # hashlib brings OpenSSL's libcrypto, a few MB of resident memory
+        script = f"""
+import contextlib, io, json, sys
+import linkrep.cli
+def loaded():
+    return json.dumps(sorted({{"hashlib", "_hashlib"}} & set(sys.modules)))
+print(loaded())
+for argv in ({["check", REF1]!r}, {["canon", REF1]!r}, {list(COMMUTING_SEARCH)!r}):
+    with contextlib.redirect_stdout(io.StringIO()):
+        linkrep.cli.main(argv)
+print(loaded())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    linkrep.cli.main({[*COMMUTING_SEARCH, "--cache", str(tmp_path / "cache")]!r})
+print(loaded())
+print(out.getvalue(), end="")
+"""
+        env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        before, after, cached, report = done.stdout.split("\n", 3)
+        assert json.loads(before) == json.loads(after) == []
+        assert "hashlib" in json.loads(cached)
+        assert report == COMMUTING_STDOUT
