@@ -43,7 +43,7 @@ from .search import (
     count_classes,
     enumerate_valid_decorations,
 )
-from .sldfile import SldDocument, SldParseError, parse, serialize
+from .sldfile import SldDocument, SldParseError, parse, serialize, split_lines
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -175,7 +175,7 @@ def _load_document(path: str) -> SldDocument:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the line of the first bad byte, counted as parse counts lines
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        line = len(split_lines(data[: exc.start].decode("utf-8")))
         raise SldParseError(line, "not valid UTF-8") from None
     return parse(text)
 

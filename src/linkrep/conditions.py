@@ -14,10 +14,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ._value import Value, slot_setters
 from .diagram import (
-    Adjacency,
     ArcBand,
     DiagramError,
     SingularLinkDiagram,
+    Steps,
     Word,
     check_selfint_structure,
     ribbon_genus,
@@ -214,13 +214,13 @@ SIMPLE_PATH_LIMIT = 10000
 
 
 def _simple_path_products(
-    adj: Adjacency,
-    src: str,
-    dst: str,
+    graph: Steps,
+    src: int,
+    dst: int,
     holonomy: Callable[[ArcBand], RotationElement],
 ) -> Iterator[RotationElement]:
     """The transport C(A_k)^(+-1) ... C(A_1)^(+-1) along every simple path
-    A_1, ..., A_k of (arc, direction) steps from src to dst, depth first;
+    A_1, ..., A_k of graph's steps from circle index src to dst, depth first;
     arcs traversed against orientation invert.  The order is that of the
     diagram's member_words: each step multiplies on the left.
 
@@ -236,32 +236,28 @@ def _simple_path_products(
     if src == dst:
         yield RotationElement.identity()
         return
-    steps: List[Tuple[ArcBand, int]] = []
+    steps: List[Tuple[ArcBand, int, int]] = []
     folded: List[RotationElement] = []  # folded[i]: product of steps[: i + 1]
-    reached: List[str] = []  # reached[i]: the circle steps[i] leads to
     seen = {src}
-    pending = [iter(adj.get(src, ()))]  # one adjacency iterator per circle
+    pending = [iter(graph[src])]  # one step iterator per circle
     while pending:
         step = next(pending[-1], None)
         if step is None:
             pending.pop()
             if steps:
-                steps.pop()
+                seen.discard(steps.pop()[2])
                 del folded[len(steps) :]
-                seen.discard(reached.pop())
             continue
-        a, direction = step
-        nxt = a.end.circle_id if direction == 1 else a.start.circle_id
-        if nxt in seen or nxt != dst and not _reaches(adj, nxt, dst, seen):
+        nxt = step[2]
+        if nxt in seen or nxt != dst and not _reaches(graph, nxt, dst, seen):
             continue
         steps.append(step)
         if nxt != dst:
-            reached.append(nxt)
             seen.add(nxt)
-            pending.append(iter(adj.get(nxt, ())))
+            pending.append(iter(graph[nxt]))
             continue
         for i in range(len(folded), len(steps)):
-            a, direction = steps[i]
+            a, direction, _ = steps[i]
             f = holonomy(a) if direction == 1 else holonomy(a).inverse()
             folded.append(f * folded[-1] if folded else f)
         yield folded[-1]
@@ -269,13 +265,12 @@ def _simple_path_products(
         del folded[len(steps) :]
 
 
-def _reaches(adj: Adjacency, start: str, dst: str, avoid: set) -> bool:
-    """Whether an arc path leads from start to dst through no circle of
-    avoid."""
+def _reaches(graph: Steps, start: int, dst: int, avoid: set) -> bool:
+    """Whether an arc path leads from circle index start to dst through no
+    circle of avoid."""
     stack, visited = [start], {start}
     while stack:
-        for a, direction in adj.get(stack.pop(), ()):
-            nxt = a.end.circle_id if direction == 1 else a.start.circle_id
+        for _, _, nxt in graph[stack.pop()]:
             if nxt == dst:
                 return True
             if nxt not in visited and nxt not in avoid:
@@ -297,7 +292,7 @@ def check_sw(
     exhaustive_paths, every simple member path (up to SIMPLE_PATH_LIMIT) is
     checked for a verdict differing from the shortest path's, on elements;
     there each arc's holonomy is computed at most once per call.  The member
-    words and the adjacency are the diagram's own, built once per diagram."""
+    words and the integer step lists are the diagram's own, built once."""
     ensure_total(d, dec)
     identity = RotationElement.identity()
     elements, group = dec._index, dec._group
@@ -314,7 +309,7 @@ def check_sw(
 
     diagnostics: List[str] = []
     passed = True
-    for h in d.hopfs:
+    for k, h in enumerate(d.hopfs):
         g = elements[h]
         if not is_involution(g):
             diagnostics.append(f"hopf {h}: decoration is not a pi-rotation")
@@ -333,7 +328,8 @@ def check_sw(
             diagnostics.append(f"hopf {h}: path product lies in {{I, g}}")
             passed = False
         if exhaustive_paths:
-            products = _simple_path_products(d.adjacency, f"{h}.a", f"{h}.b", holonomy)
+            # Hopf node k's members are circles 2k and 2k + 1
+            products = _simple_path_products(d._steps, 2 * k, 2 * k + 1, holonomy)
             verdicts = set()
             for q in islice(products, SIMPLE_PATH_LIMIT):
                 verdicts.add(q != identity and q != g)

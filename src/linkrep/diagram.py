@@ -92,9 +92,9 @@ class SingularLinkDiagram(Value):
     violation found by `validate`.
 
     The diagram is immutable, so the structure that checks and searches read
-    (node-id sets, circle adjacency, member words, watch lists) is derived
-    on first use and cached on the instance, as read-only mappings of
-    tuples: every later caller shares it."""
+    (node-id sets, the circle graph's integer step lists, member words,
+    watch lists) is derived on first use and cached on the instance, as
+    tuples and read-only mappings of tuples: every later caller shares it."""
 
     # the dict holds the derived structure
     __slots__ = ("circles", "hopfs", "arcs", "__dict__")
@@ -119,15 +119,6 @@ class SingularLinkDiagram(Value):
     def n_simple(self) -> int:
         return len(self.circles)
 
-    def circle_ids(self) -> List[str]:
-        """All circle vertices, in declaration order: Hopf members then simple circles."""
-        out = []
-        for h in self.hopfs:
-            out.append(f"{h}.a")
-            out.append(f"{h}.b")
-        out.extend(self.circles)
-        return out
-
     @cached_property
     def _circle_set(self) -> FrozenSet[str]:
         return frozenset(self.circles)
@@ -143,30 +134,26 @@ class SingularLinkDiagram(Value):
 
     @cached_property
     def _circle_index(self) -> Dict[str, int]:
-        """circle id -> its position in circle_ids(): Hopf node k's members
-        are 2k and 2k + 1."""
-        return {cid: i for i, cid in enumerate(self.circle_ids())}
+        """circle id -> its index in declaration order: Hopf node k's members
+        are 2k and 2k + 1, then come the simple circles."""
+        ids = [f"{h}.{m}" for h in self.hopfs for m in "ab"] + list(self.circles)
+        return {cid: i for i, cid in enumerate(ids)}
 
     @cached_property
     def _components(self) -> Tuple["ComponentPartition", Tuple[str, ...]]:
         return _connected_components(self)
 
     @cached_property
-    def _steps(self) -> List[List[Tuple[ArcBand, int, int]]]:
-        """circle index -> [(arc, direction, the circle index it leads to)],
-        arcs in id order."""
+    def _steps(self) -> "Steps":
+        """The circle graph: circle index -> ((arc, direction, the circle
+        index it leads to), ...), arcs in id order."""
         index = self._circle_index
-        steps: List[List[Tuple[ArcBand, int, int]]] = [[] for _ in index]
+        steps: List[List[Step]] = [[] for _ in index]
         for a in sorted(self.arcs, key=_arc_id):
             i, j = index[a.start.circle_id], index[a.end.circle_id]
             steps[i].append((a, 1, j))
             steps[j].append((a, -1, i))
-        return steps
-
-    @cached_property
-    def adjacency(self) -> "Adjacency":
-        """circle id -> [(arc, direction)], arcs in id order."""
-        return _adjacency(self)
+        return tuple(map(tuple, steps))
 
     @cached_property
     def member_words(self) -> Mapping[str, Optional["Word"]]:
@@ -246,27 +233,17 @@ def validate(d: SingularLinkDiagram) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# circle adjacency and member paths
+# the circle graph and member paths
 # ---------------------------------------------------------------------------
 
-Adjacency = Mapping[str, Tuple[Tuple[ArcBand, int], ...]]
+# (arc, direction, next circle index), direction +1 start->end, -1 end->start
+Step = Tuple[ArcBand, int, int]
+Steps = Tuple[Tuple[Step, ...], ...]  # circle index -> its steps
 ArcPath = Tuple[Tuple[ArcBand, int], ...]  # (arc, direction) steps
 Word = Tuple[Tuple[CircleRef, int], ...]  # signed letters, leftmost first
 
 
 _arc_id = attrgetter("id")
-
-
-def _adjacency(d: SingularLinkDiagram) -> Adjacency:
-    """circle id -> ((arc, direction), ...), direction +1 start->end,
-    -1 end->start, for the circles that arcs meet."""
-    return MappingProxyType(
-        {
-            cid: tuple([(a, direction) for a, direction, _ in steps])
-            for cid, steps in zip(d._circle_index, d._steps)
-            if steps
-        }
-    )
 
 
 def _shortest_arc_path(d: SingularLinkDiagram, src: str, dst: str) -> Optional[ArcPath]:
@@ -276,20 +253,23 @@ def _shortest_arc_path(d: SingularLinkDiagram, src: str, dst: str) -> Optional[A
     s, t = index[src], index[dst]
     if s == t:
         return ()
+    # circle next to t -> its first step into t (reversed, so the first in
+    # arc id order wins): the search stops at the first such circle it
+    # dequeues, so a hub's other steps are not scanned
+    into = {nb: (a, -direction) for a, direction, nb in reversed(steps[t])}
     prev: Dict[int, tuple] = {s: ()}  # circle -> (parent, arc, direction)
     queue = [s]
     for cur in queue:  # the queue grows while it is walked
+        if cur in into:
+            path = [into[cur]]
+            while cur != s:
+                cur, a, direction = prev[cur]
+                path.append((a, direction))
+            return tuple(reversed(path))
         for a, direction, nxt in steps[cur]:
-            if nxt in prev:
-                continue
-            prev[nxt] = (cur, a, direction)
-            if nxt == t:
-                path = []
-                while nxt != s:
-                    nxt, a, direction = prev[nxt]
-                    path.append((a, direction))
-                return tuple(reversed(path))
-            queue.append(nxt)
+            if nxt not in prev:
+                prev[nxt] = (cur, a, direction)
+                queue.append(nxt)
     return None
 
 

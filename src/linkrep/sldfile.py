@@ -1,6 +1,6 @@
 """The .sld plain-text diagram format: parser and canonical serializer.
 
-Line-oriented statements:
+Line-oriented statements; a line ends at "\\n", "\\r\\n" or "\\r" only:
 
     group (tetrahedral | octahedral | icosahedral)
     circle ID
@@ -232,6 +232,11 @@ def _tokenize(tokens: List[str], lineno: int) -> List[str]:
     return tokens
 
 
+def split_lines(text: str) -> List[str]:
+    """The lines of text, broken at "\\n", "\\r\\n" and "\\r" only."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse(text: str) -> SldDocument:
     """The document; SldParseError with the line number on any malformed line."""
     statements: List[Statement] = []
@@ -239,7 +244,7 @@ def parse(text: str) -> SldDocument:
     arc_ids = set()
     decorated: Dict[str, int] = {}  # node -> line of its decoration
     refs = _RefTable()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         tokens = raw.split()
         if not tokens:
             continue

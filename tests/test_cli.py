@@ -526,6 +526,25 @@ class TestEncoding:
         assert (code, out, err) == (2, None, {"error": f"line {line}: not valid UTF-8"})
 
 
+    # str.splitlines also breaks at these; an .sld line ends only at
+    # "\n", "\r\n" or "\r", so a comment may hold them
+    OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS)
+    def test_only_newlines_end_a_line(self, capsys, tmp_path, char):
+        f = tmp_path / "comment.sld"
+        f.write_bytes(f"# a{char}b\nnonsense\n".encode("utf-8"))
+        code, out, err = run(capsys, "check", str(f))
+        assert (code, out, err) == (2, None, {"error": "line 2: unknown keyword 'nonsense'"})
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS)
+    def test_line_of_a_bad_byte_after_such_a_comment(self, capsys, tmp_path, char):
+        f = tmp_path / "bad.sld"
+        f.write_bytes(f"# a{char}b\ncircle c\n".encode("utf-8") + b"circle \xff\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert (code, out, err) == (2, None, {"error": "line 3: not valid UTF-8"})
+
+
 class TestCanon:
     @pytest.mark.parametrize("command", ["check", "search", "canon"])
     @pytest.mark.parametrize(

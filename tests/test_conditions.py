@@ -4,7 +4,7 @@ import random
 import sys
 import time
 from contextlib import redirect_stdout
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 
 import pytest
@@ -54,6 +54,7 @@ from conftest import (
     search_space,
     worded_path_diagram,
 )
+from member_words_reference import _adjacency as string_keyed_adjacency
 from triple_arc_reference import triple_arc_findings
 
 
@@ -313,11 +314,13 @@ class TestSW:
         assert not any("path-dependent" in line for line in res.diagnostics)
 
     def test_adjacency_built_once_per_diagram(self, monkeypatch):
+        # the circle graph is the diagram's integer step lists, read by the
+        # shortest member paths and by the exhaustive walk
         calls = []
-        real = linkrep.diagram._adjacency
-        monkeypatch.setattr(
-            linkrep.diagram, "_adjacency", lambda d: calls.append(d) or real(d)
-        )
+        real = SingularLinkDiagram._steps.func
+        steps = cached_property(lambda d: calls.append(d) or real(d))
+        steps.__set_name__(SingularLinkDiagram, "_steps")
+        monkeypatch.setattr(SingularLinkDiagram, "_steps", steps)
         d = ref1_diagram()
         for exhaustive in (False, True, False, True):
             assert check_sw(d, ref1_decoration(), exhaustive_paths=exhaustive).passed
@@ -447,8 +450,9 @@ def _with_dead_ends(d, rng):
 
 def _reference_path_products(d, dec, src, dst):
     """Reference: every simple member path enumerated depth first, with its
-    transport C(A_k)^(+-1) ... C(A_1)^(+-1) folded on its own."""
-    adj = d.adjacency
+    transport C(A_k)^(+-1) ... C(A_1)^(+-1) folded on its own, on the
+    reference's own circle adjacency keyed by circle id strings."""
+    adj = string_keyed_adjacency(d)
     stack, visited = [], {src}
 
     def walk(cur):
@@ -478,14 +482,14 @@ class TestExhaustivePaths:
         if dead_ends:
             d = _with_dead_ends(d, rng)
         dec = random_decoration(d, rng)
-        adj = d.adjacency
+        adj, index = string_keyed_adjacency(d), d._circle_index
         # the member paths, and a path between two circles of any kind
         pairs = [(f"{h}.a", f"{h}.b") for h in d.hopfs]
         if len(adj) > 1:
             pairs.append(tuple(rng.sample(sorted(adj), 2)))
         for src, dst in pairs:
             got = linkrep.conditions._simple_path_products(
-                adj, src, dst, lambda a: holonomy_word(a, dec)
+                d._steps, index[src], index[dst], lambda a: holonomy_word(a, dec)
             )
             assert list(islice(got, 500)) == _reference_path_products(d, dec, src, dst)[:500]
 

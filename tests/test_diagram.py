@@ -29,7 +29,7 @@ from linkrep.search import SearchOptions, enumerate_valid_decorations
 
 from linkrep.sldfile import parse
 
-from conftest import FIXTURES, random_diagram, ref1_diagram
+from conftest import FIXTURES, random_diagram, ref1_diagram, worded_path_diagram
 from member_words_reference import reference_member_words
 from ribbon_reference import reference_ribbon_genus
 from triple_arc_reference import triple_arc_findings
@@ -134,10 +134,12 @@ class TestValidate:
 
     def test_cached_plan_is_read_only(self):
         d = ref1_diagram()
-        for plan in (d.adjacency, d.member_words, d.arcs_mentioning):
+        for plan in (d.member_words, d.arcs_mentioning):
             with pytest.raises(TypeError):
                 plan["x"] = ()
             assert all(isinstance(v, tuple) for v in plan.values())
+        assert isinstance(d._steps, tuple)
+        assert all(isinstance(steps, tuple) for steps in d._steps)
 
     def test_validate_runs_once_per_diagram(self, monkeypatch):
         calls = []
@@ -295,18 +297,68 @@ class TestComponents:
         assert len(calls) == 2
 
 
+def hub_draw(rng: random.Random) -> SingularLinkDiagram:
+    """One to four Hopf nodes whose members each meet a hub circle Y by one
+    to three parallel arcs of random direction and word; h0.b has an arc
+    each way, so parallel arcs into it run in both directions."""
+    hopfs = tuple(f"h{k}" for k in range(rng.randint(1, 4)))
+    refs = [CircleRef("Y")] + [CircleRef(h, m) for h in hopfs for m in "ab"]
+    slots = {r.circle_id: 0 for r in refs}
+    arcs = []
+    for member in refs[1:]:
+        ways = [rng.random() < 0.5 for _ in range(rng.randint(1, 3))]
+        if member.circle_id == "h0.b":
+            ways += [True, False]
+        for into_member in ways:
+            start, end = (refs[0], member) if into_member else (member, refs[0])
+            word = tuple(
+                (rng.choice(refs), rng.choice((1, -1))) for _ in range(rng.randint(0, 2))
+            )
+            arcs.append(
+                ArcBand(
+                    f"a{len(arcs)}", start, slots[start.circle_id], end,
+                    slots[end.circle_id], word,
+                )
+            )
+            slots[start.circle_id] += 1
+            slots[end.circle_id] += 1
+    return SingularLinkDiagram(circles=("Y",), hopfs=hopfs, arcs=tuple(arcs))
+
+
+def hopf_star(n: int) -> SingularLinkDiagram:
+    """n Hopf nodes, each member joined to one circle Y by an empty-word arc."""
+    return SingularLinkDiagram(
+        circles=("Y",),
+        hopfs=tuple(f"h{k}" for k in range(n)),
+        arcs=tuple(
+            arc(f"x{k}{m}", f"h{k}.{m}", 0, "Y", 2 * k + (m == "b"))
+            for k in range(n)
+            for m in "ab"
+        ),
+    )
+
+
 class TestMemberWords:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     @example(seed=3)  # h0's members are not joined, h1's are
     def test_same_words_as_the_string_keyed_search(self, seed):
         rng = random.Random(seed)
-        d = random_diagram(rng)
-        # arc ids in another order than the arcs: the tie-break is by id
-        shuffled = list(d.arcs)
-        rng.shuffle(shuffled)
-        for diagram in (d, SingularLinkDiagram(d.circles, d.hopfs, tuple(shuffled))):
-            assert dict(diagram.member_words) == reference_member_words(diagram)
+        for d in (random_diagram(rng), worded_path_diagram(rng), hub_draw(rng)):
+            # arc ids in another order than the arcs: the tie-break is by id
+            shuffled = list(d.arcs)
+            rng.shuffle(shuffled)
+            for diagram in (d, SingularLinkDiagram(d.circles, d.hopfs, tuple(shuffled))):
+                assert dict(diagram.member_words) == reference_member_words(diagram)
+
+    def test_linear_on_a_hopf_star(self):
+        # about 10 s when each member path scanned every step of the hub
+        # before it met the target member
+        d = hopf_star(4000)
+        start = time.perf_counter()
+        words = d.member_words
+        assert time.perf_counter() - start < 0.5
+        assert set(words.values()) == {()}
 
     def test_seeded_draws_include_unjoined_members(self):
         words = reference_member_words(random_diagram(random.Random(3)))

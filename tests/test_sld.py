@@ -383,6 +383,11 @@ class TestSerialize:
         text = "circle c\ndecorate c = matrix 0 0 1 1 0 0 0 1 0\n"
         assert serialize(parse(text)) == text
 
+    def test_comment_with_a_form_feed_round_trips(self):
+        doc = SldDocument((CommentStmt("a\x0cb"), CircleStmt("c")))
+        assert serialize(doc) == "# a\x0cb\ncircle c\n"
+        assert parse(serialize(doc)) == doc
+
     def test_statement_order_is_preserved(self):
         text = "# top\ngroup octahedral\ncircle b\ncircle a\n"
         doc = parse(text)
