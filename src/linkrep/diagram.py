@@ -91,9 +91,9 @@ class SingularLinkDiagram(Value):
     """A well-formed diagram: construction raises DiagramError listing every
     violation found by `validate`.
 
-    The diagram is immutable, so the structure that checks and searches read
-    (node-id sets, the circle graph's integer step lists, member words,
-    watch lists) is derived on first use and cached on the instance, as
+    The diagram is immutable, so the structure that the checks share (node
+    ids, the circle graph's integer step lists, the components found on it,
+    member words) is derived on first use and cached on the instance, as
     tuples and read-only mappings of tuples: every later caller shares it."""
 
     # the dict holds the derived structure
@@ -120,17 +120,9 @@ class SingularLinkDiagram(Value):
         return len(self.circles)
 
     @cached_property
-    def _circle_set(self) -> FrozenSet[str]:
-        return frozenset(self.circles)
-
-    @cached_property
-    def _hopf_set(self) -> FrozenSet[str]:
-        return frozenset(self.hopfs)
-
-    @cached_property
     def node_ids(self) -> FrozenSet[str]:
         """Every Hopf node and simple circle id."""
-        return self._hopf_set | self._circle_set
+        return frozenset((*self.hopfs, *self.circles))
 
     @cached_property
     def _circle_index(self) -> Dict[str, int]:
@@ -165,21 +157,10 @@ class SingularLinkDiagram(Value):
         an arc walked against its orientation contributing its inverted
         word."""
         words = {}
-        for h in self.hopfs:
-            path = _shortest_arc_path(self, f"{h}.a", f"{h}.b")
+        for k, h in enumerate(self.hopfs):
+            path = _shortest_arc_path(self, 2 * k, 2 * k + 1)
             words[h] = None if path is None else _transport_word(path)
         return MappingProxyType(words)
-
-    @cached_property
-    def arcs_mentioning(self) -> Mapping[str, Tuple[ArcBand, ...]]:
-        """node -> the arcs whose endpoints or word mention it, in arc order."""
-        out: Dict[str, List[ArcBand]] = {n: [] for n in (*self.hopfs, *self.circles)}
-        for a in self.arcs:
-            for n in dict.fromkeys(
-                [a.start.node, a.end.node] + [ref.node for ref, _ in a.word]
-            ):
-                out[n].append(a)
-        return MappingProxyType({n: tuple(arcs) for n, arcs in out.items()})
 
 
 _set_circles, _set_hopfs, _set_arcs = slot_setters(SingularLinkDiagram)
@@ -195,7 +176,7 @@ def validate(d: SingularLinkDiagram) -> List[str]:
     when its node is a declared simple circle, or a declared Hopf node for
     a member reference."""
     violations = []
-    circle_set, hopf_set = d._circle_set, d._hopf_set
+    circle_set, hopf_set = frozenset(d.circles), frozenset(d.hopfs)
     seen = set()
     for nid in (*d.circles, *d.hopfs):
         if nid in seen:
@@ -246,11 +227,10 @@ Word = Tuple[Tuple[CircleRef, int], ...]  # signed letters, leftmost first
 _arc_id = attrgetter("id")
 
 
-def _shortest_arc_path(d: SingularLinkDiagram, src: str, dst: str) -> Optional[ArcPath]:
-    """BFS path of (arc, direction) steps from circle src to circle dst of d,
-    on circle indices, ties broken by arc id order."""
-    index, steps = d._circle_index, d._steps
-    s, t = index[src], index[dst]
+def _shortest_arc_path(d: SingularLinkDiagram, s: int, t: int) -> Optional[ArcPath]:
+    """BFS path of (arc, direction) steps from circle index s to circle
+    index t of d, ties broken by arc id order."""
+    steps = d._steps
     if s == t:
         return ()
     # circle next to t -> its first step into t (reversed, so the first in
@@ -307,32 +287,24 @@ def _connected_components(
     d: SingularLinkDiagram,
 ) -> Tuple[ComponentPartition, Tuple[str, ...]]:
     """The components, and the Hopf nodes whose two members lie in
-    different ones.  Union-find over circle indices in declaration order:
-    every parent index is at most its child's, so each root is the least
-    index of its block, and one ascending sweep points every circle at its
-    root."""
-    index = d._circle_index
-    parent = list(range(len(index)))
-    for a in d.arcs:
-        i = index[a.start.circle_id]
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        j = index[a.end.circle_id]
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        if i < j:
-            parent[j] = i
-        elif j < i:
-            parent[i] = j
+    different ones.  A search of the circle graph from each circle index
+    not yet reached, in ascending order, so each block's root is its least
+    index; a block lists its circles in index order."""
+    steps = d._steps
+    root = [-1] * len(steps)
+    for r in range(len(steps)):
+        if root[r] < 0:
+            root[r] = r
+            block = [r]
+            for i in block:  # the block grows while it is walked
+                for _, _, j in steps[i]:
+                    if root[j] < 0:
+                        root[j] = r
+                        block.append(j)
     grouped: Dict[int, List[str]] = {}
-    for k, cid in enumerate(index):
-        root = parent[k] = parent[parent[k]]
-        grouped.setdefault(root, []).append(cid)
-    split = tuple(
-        h for k, h in enumerate(d.hopfs) if parent[2 * k] != parent[2 * k + 1]
-    )
+    for cid, r in zip(d._circle_index, root):
+        grouped.setdefault(r, []).append(cid)
+    split = tuple(h for k, h in enumerate(d.hopfs) if root[2 * k] != root[2 * k + 1])
     return ComponentPartition(tuple(map(tuple, grouped.values()))), split
 
 

@@ -174,7 +174,11 @@ def enumerate_valid_decorations(
     domains = {node: list(range(len(elements))) for node in d.circles}
     domains.update({node: list(group.involutions) for node in d.hopfs})
     allowed_sets = {node: set(dom) for node, dom in domains.items()}
-    watchers = d.arcs_mentioning
+    # node -> the arcs whose endpoints or word mention it, in arc order
+    watchers: Dict[str, List[ArcBand]] = {node: [] for node in domains}
+    for a in d.arcs:
+        for node in dict.fromkeys([a.start.node, a.end.node, *_word_nodes(a)]):
+            watchers[node].append(a)
     # a Hopf node's SW verdict is determined once the node and every node in
     # its member word are assigned: its support
     words = d.member_words

@@ -84,6 +84,8 @@ class CommentStmt(Value):
     __slots__ = __match_args__ = ("text",)
 
     def __init__(self, text: str) -> None:  # text without the leading "# "
+        if text != text.strip() or "\n" in text or "\r" in text:
+            raise ValueError(f"comment text {text!r} would not parse back")
         _set_text(self, text)
 
 

@@ -545,6 +545,27 @@ class TestEncoding:
         assert (code, out, err) == (2, None, {"error": "line 3: not valid UTF-8"})
 
 
+class TestComments:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "group octahedral  # tetrahedral | octahedral | icosahedral",
+            "circle Z  # a simple circle node",
+            "hopf G  # a Hopf pair",
+            "arc A from H.a slot 0 to H.b slot 0 word Y:+  # a band",
+            'decorate Y = perm "(12)"  # S4 cycles',
+            "decorate Y = matrix -1 0 0 0 0 -1 0 -1 0  # nine scalars",
+        ],
+    )
+    def test_a_comment_after_a_statement_is_rejected(self, capsys, tmp_path, statement):
+        # "#" starts a comment only as a line's first token
+        f = tmp_path / "trailing.sld"
+        f.write_text(f"# a comment line\nhopf H\ncircle Y\n{statement}\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert (code, out) == (2, None)
+        assert err["error"].startswith("line 4: ")
+
+
 class TestCanon:
     @pytest.mark.parametrize("command", ["check", "search", "canon"])
     @pytest.mark.parametrize(

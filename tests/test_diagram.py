@@ -29,6 +29,7 @@ from linkrep.search import SearchOptions, enumerate_valid_decorations
 
 from linkrep.sldfile import parse
 
+from components_reference import reference_components
 from conftest import FIXTURES, random_diagram, ref1_diagram, worded_path_diagram
 from member_words_reference import reference_member_words
 from ribbon_reference import reference_ribbon_genus
@@ -134,10 +135,9 @@ class TestValidate:
 
     def test_cached_plan_is_read_only(self):
         d = ref1_diagram()
-        for plan in (d.member_words, d.arcs_mentioning):
-            with pytest.raises(TypeError):
-                plan["x"] = ()
-            assert all(isinstance(v, tuple) for v in plan.values())
+        with pytest.raises(TypeError):
+            d.member_words["x"] = ()
+        assert all(isinstance(v, tuple) for v in d.member_words.values())
         assert isinstance(d._steps, tuple)
         assert all(isinstance(steps, tuple) for steps in d._steps)
 
@@ -268,6 +268,19 @@ class TestComponents:
             rng.shuffle(shuffled)
             d2 = SingularLinkDiagram(d.circles, d.hopfs, tuple(shuffled))
             assert components(d) == components(d2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_same_blocks_as_the_union_find(self, seed):
+        rng = random.Random(seed)
+        for d in (random_diagram(rng), worded_path_diagram(rng), hub_draw(rng)):
+            shuffled = list(d.arcs)
+            rng.shuffle(shuffled)
+            for diagram in (d, SingularLinkDiagram(d.circles, d.hopfs, tuple(shuffled))):
+                part, split = linkrep.diagram._connected_components(diagram)
+                reference, reference_split = reference_components(diagram)
+                assert part.blocks == reference.blocks
+                assert split == reference_split
 
     def test_block_of_every_circle(self, rng):
         for _ in range(30):

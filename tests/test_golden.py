@@ -2,8 +2,9 @@
 and `canon` on every fixture, of `search` on every fixture under each group
 preset and dedup mode, of `check` on a malformed diagram, of `canon` on
 matrix-decorated Hopf tuples and on the two malformed matrices, of `check`
-on a perturbed decorated chain and on a genus-one diagram, and of `bundle`
-and `obstruct` on a few arguments, compared byte for byte.
+on a perturbed decorated chain, on a genus-one diagram and on a diagram
+whose Hopf node is split across components, and of `bundle` and
+`obstruct` on a few arguments, compared byte for byte.
 
 The corpus in tests/golden/ pins behaviour across refactors.  After a
 deliberate change of output, re-record it with
@@ -47,10 +48,12 @@ TUPLES = {
     "canon-matrix-det": ["canon", "tests/matrix_det.sld"],
 }
 # a 40-node chain with a comment, an even twist and a decorated circle that
-# no arc touches; interleaved bands whose genus0 check fails
+# no arc touches; interleaved bands whose genus0 check fails; a Hopf node
+# whose members lie in different components, next to a lone circle
 DIAGRAMS = {
     "check-chain-perturbed": ["check", "tests/chain_perturbed.sld"],
     "check-genus-one": ["check", "tests/genus_one.sld"],
+    "check-split-hopf": ["check", "tests/split_hopf.sld"],
 }
 
 

@@ -626,7 +626,7 @@ class TestTablePath:
         for prune_sw in (False, True):
             opts = SearchOptions(octahedral_group(), prune_sw=prune_sw)
             assert len(enumerate_valid_decorations(d, opts)) == 120
-        assert searched == [(f"{h}.a", f"{h}.b") for h in d.hopfs]
+        assert searched == [(2 * k, 2 * k + 1) for k in range(d.n_hopf)]
 
     @pytest.mark.parametrize(
         "d, hopf_order",

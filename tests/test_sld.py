@@ -75,6 +75,13 @@ def programmatic_ref1():
 
 
 class TestParse:
+    def test_readme_example_parses(self):
+        readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## The `.sld` format", 1)[1].split("```\n")[1]
+        doc = parse(example)
+        assert sum(isinstance(s, CommentStmt) for s in doc.statements) == 6
+        assert serialize(doc) == example
+
     def test_ref1_fixture_matches_programmatic_diagram(self):
         doc = parse((FIXTURES / "ref1.sld").read_text())
         assert doc.group_name() == "octahedral"
@@ -386,6 +393,15 @@ class TestSerialize:
     def test_comment_with_a_form_feed_round_trips(self):
         doc = SldDocument((CommentStmt("a\x0cb"), CircleStmt("c")))
         assert serialize(doc) == "# a\x0cb\ncircle c\n"
+        assert parse(serialize(doc)) == doc
+
+    def test_comment_that_would_not_parse_back_is_rejected(self):
+        # parse strips a comment's surrounding whitespace, and a line break
+        # ends it; whitespace inside a comment still round-trips
+        for text in (" a", "a\x0c", "a\x85", "x\ny", "x\ry"):
+            with pytest.raises(ValueError):
+                CommentStmt(text)
+        doc = SldDocument((CommentStmt("a\x0cb\x85c"),))
         assert parse(serialize(doc)) == doc
 
     def test_statement_order_is_preserved(self):
