@@ -240,38 +240,59 @@ def cmd_check(args) -> int:
 
 
 @lru_cache(maxsize=1)
+def _builtin_sha256():
+    """The interpreter's built-in SHA-256 (`_sha2` from Python 3.12, `_sha256`
+    before): hashlib's digests without loading OpenSSL.  hashlib only when
+    neither module exists.  Resolved once per process."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+@lru_cache(maxsize=1)
 def _source_digest() -> str:
     """sha256 of the package's own sources, in sorted file name order: a
     cache entry written by other code is a miss."""
-    import hashlib
-
-    h = hashlib.sha256()
+    h = _builtin_sha256()()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 
 def _options_digest(doc: SldDocument, opts_desc: Dict) -> str:
-    """Cache key: the canonical document, the options, the package version
-    and the source digest.  Only a `--cache` search loads hashlib."""
-    import hashlib
-
+    """Cache key: the sha256 of the canonical document, the options, the
+    package version and the source digest, the same hex digest as hashlib's.
+    No call loads OpenSSL."""
     payload = serialize(doc) + json.dumps(opts_desc, sort_keys=True) + __version__
     payload += _source_digest()
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _builtin_sha256()(payload.encode("utf-8")).hexdigest()
 
 
 def _read_cached(path: Path) -> Optional[Tuple[str, int]]:
     """A cached report rendered for printing, and its raw solution count;
-    None when the entry is missing or corrupt.  Any JSON text of the report
-    is accepted: the printed form and the compact one of earlier versions."""
+    None when the entry is missing, corrupt or not a search report.  Any JSON
+    text of a report is accepted: the printed form and the compact one of
+    earlier versions."""
     try:
         cached = json.loads(path.read_text(encoding="utf-8"))
-        raw = cached["search"]["raw_solutions"]
-        text = _render(cached)
+        search = cached["search"]
+        raw, solutions = search["raw_solutions"], search["solutions"]
+        if (
+            cached.keys() != _report_skeleton().keys()
+            or type(raw) is not int  # a bool is an int too
+            or "classes" not in search
+            or type(solutions) is not list
+            or len(solutions) != raw
+        ):
+            return None
+        return _render(cached), raw
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return (text, raw) if isinstance(raw, int) else None
 
 
 def _write_atomically(path: Path, text: str) -> None:
@@ -296,13 +317,9 @@ def cmd_search(args) -> int:
     except DiagramError as exc:
         return _fail(str(exc), 2)
     group_name = args.group or doc.group_name() or "octahedral"
-    try:
-        group = preset_group(group_name)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    opts = SearchOptions(group=group, dedup=args.dedup)
-    opts_desc = {"group": group_name, "dedup": opts.dedup}
+    opts_desc = {"group": group_name, "dedup": args.dedup}
 
+    # a hit builds no group: argparse and parse accept only preset names
     cache_file = None
     if args.cache:
         cache_dir = Path(args.cache)
@@ -317,6 +334,11 @@ def cmd_search(args) -> int:
             print(text)
             return 0 if raw > 0 else 1
 
+    try:
+        group = preset_group(group_name)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
+    opts = SearchOptions(group=group, dedup=args.dedup)
     try:
         solutions = enumerate_valid_decorations(d, opts)
     except StructuralConditionError as exc:

@@ -199,8 +199,25 @@ class TestSearch:
         cache = tmp_path / "cache"
         _, fresh, _ = run(capsys, "search", COMMUTING, "--cache", str(cache))
         (entry,) = cache.glob("*.json")
-        # the last entry parses but holds a float, which no report may hold
-        junks = ("{not json", '{"search": null}', "", '{"search": {"raw_solutions": 1}, "x": 0.5}')
+        # the fourth entry parses but holds a float, which no report may hold;
+        # the rest are JSON but not a search report
+        search = fresh["search"]
+        not_reports = (
+            {**fresh, "x": None},
+            {**fresh, "search": {k: v for k, v in search.items() if k != "classes"}},
+            {**fresh, "search": {**search, "raw_solutions": search["raw_solutions"] + 1}},
+            {**fresh, "search": {**search, "raw_solutions": True, "solutions": search["solutions"][:1]}},
+            {**fresh, "search": {**search, "solutions": dict(enumerate(search["solutions"]))}},
+        )
+        junks = (
+            "{not json",
+            '{"search": null}',
+            "",
+            '{"search": {"raw_solutions": 1}, "x": 0.5}',
+            '{"search": {"raw_solutions": 1}}',
+            '{"search": {"raw_solutions": true}}',
+            *map(json.dumps, not_reports),
+        )
         for junk in junks:
             entry.write_text(junk)
             code, out, err = run(capsys, "search", COMMUTING, "--cache", str(cache))
@@ -236,6 +253,18 @@ class TestSearch:
             assert main([*COMMUTING_SEARCH, "--cache", str(cache)]) == 0
             assert capsys.readouterr().out == COMMUTING_STDOUT
             assert entry.read_text(encoding="utf-8") == COMMUTING_STDOUT
+
+    def test_cache_hit_builds_no_group(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        main([*COMMUTING_SEARCH, "--cache", str(cache)])
+        capsys.readouterr()
+
+        def no_group(name):
+            raise AssertionError(f"a cache hit built group {name!r}")
+
+        monkeypatch.setattr(linkrep.cli, "preset_group", no_group)
+        assert main([*COMMUTING_SEARCH, "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == COMMUTING_STDOUT
 
     def test_cache_on_a_regular_file_exits_two(self, capsys, tmp_path):
         not_a_dir = tmp_path / "cache"
@@ -632,29 +661,65 @@ class TestColdImport:
         )
         assert done.stdout.split() == []
 
-    def test_only_a_cached_search_loads_hashlib(self, tmp_path):
-        # hashlib brings OpenSSL's libcrypto, a few MB of resident memory
+    def test_no_call_loads_openssl(self, tmp_path):
+        # hashlib brings OpenSSL's libcrypto, a few MB of resident memory; a
+        # cache key uses the interpreter's own SHA-256 module instead
         script = f"""
 import contextlib, io, json, sys
 import linkrep.cli
-def loaded():
-    return json.dumps(sorted({{"hashlib", "_hashlib"}} & set(sys.modules)))
-print(loaded())
+def sha():
+    return {{m for m in sys.modules if m.startswith("_sha") or m in ("hashlib", "_hashlib")}}
+before = sha()
 for argv in ({["check", REF1]!r}, {["canon", REF1]!r}, {list(COMMUTING_SEARCH)!r}):
     with contextlib.redirect_stdout(io.StringIO()):
         linkrep.cli.main(argv)
-print(loaded())
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    linkrep.cli.main({[*COMMUTING_SEARCH, "--cache", str(tmp_path / "cache")]!r})
-print(loaded())
+print(json.dumps(sorted(sha() - before)))
+for _ in range(2):  # a miss, then a hit
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        linkrep.cli.main({[*COMMUTING_SEARCH, "--cache", str(tmp_path / "cache")]!r})
+    print(json.dumps(sorted({{"hashlib", "_hashlib"}} & set(sys.modules))))
 print(out.getvalue(), end="")
 """
         env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        before, after, cached, report = done.stdout.split("\n", 3)
-        assert json.loads(before) == json.loads(after) == []
-        assert "hashlib" in json.loads(cached)
+        uncached, miss, hit, report = done.stdout.split("\n", 3)
+        assert json.loads(uncached) == json.loads(miss) == json.loads(hit) == []
         assert report == COMMUTING_STDOUT
+
+    @pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")], ids=["builtin", "hashlib"])
+    def test_cache_key_is_the_sha256_of_the_payload(self, tmp_path, blocked):
+        # the entry name is hashlib's hex digest of the key's payload, read
+        # from the interpreter's own module or, when that is missing, from
+        # hashlib itself
+        script = f"""
+import contextlib, io, json, sys
+from pathlib import Path
+for name in {blocked!r}:
+    sys.modules[name] = None
+import linkrep.cli
+from linkrep.cli import __version__, _load_document, serialize
+cache = Path({str(tmp_path / "cache")!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    linkrep.cli.main({[*COMMUTING_SEARCH, "--cache", str(tmp_path / "cache")]!r})
+print(json.dumps("hashlib" in sys.modules))
+(entry,) = cache.glob("*.json")
+import hashlib
+sources = hashlib.sha256()
+for path in sorted(Path(linkrep.cli.__file__).parent.glob("*.py")):
+    sources.update(path.name.encode("utf-8") + b"\\0" + path.read_bytes())
+payload = serialize(_load_document({COMMUTING!r}))
+payload += json.dumps({{"group": "octahedral", "dedup": "so3_canonical"}}, sort_keys=True)
+payload += __version__ + sources.hexdigest()
+print(json.dumps([entry.name, hashlib.sha256(payload.encode("utf-8")).hexdigest() + ".json"]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        loaded, names = done.stdout.splitlines()
+        assert json.loads(loaded) is bool(blocked)
+        name, want = json.loads(names)
+        assert name == want
